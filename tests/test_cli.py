@@ -186,6 +186,20 @@ class TestAnalyzeLog:
     def test_unreadable_log_exit_2(self, tmp_path):
         assert main(["analyze-log", str(tmp_path / "missing.log"), "-o", str(tmp_path)]) == 2
 
+    def test_pairing_capture_matches_goldens(self, tmp_path, golden_dir):
+        # Two interleaved paths, a lost reply that shifts later pairs, an
+        # orphan reply, a negative interval, a src == dst path, a trailing
+        # unanswered request and two malformed lines.
+        log = golden_dir.parent / "pairing_capture.log"
+        out = tmp_path / "out"
+        assert main(["analyze-log", str(log), "--baseline", "0.0007", "-o", str(out)]) == 0
+        expected = sorted((golden_dir / "pairing_capture").iterdir())
+        assert [path.name for path in expected] == [
+            "discrepancies.txt", "propagation.csv", "rtt.csv", "stats.txt"
+        ]
+        for path in expected:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
 
 class TestFeasibility:
     def test_microsecond_clock_infeasible(self, tmp_path, capsys):
