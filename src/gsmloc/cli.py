@@ -34,6 +34,7 @@ from .errors import (
 )
 from .geometry import Point3, TowerSite, hex_cell_layout
 from .ingest import (
+    check_kernel_delay,
     discrepancy_report,
     pair_rtts,
     parse_ping_log,
@@ -270,6 +271,12 @@ def cmd_locate(args) -> int:
 
 
 def cmd_analyze_log(args) -> int:
+    if args.baseline is not None:
+        try:
+            check_kernel_delay(args.baseline)
+        except ValueError as exc:
+            print(f"error: --baseline: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     try:
         text = args.log.read_text()
     except OSError as exc:
@@ -289,9 +296,6 @@ def cmd_analyze_log(args) -> int:
         "discrepancies.txt": discrepancy_report(samples, warnings),
     }
     if args.baseline is not None:
-        if args.baseline < 0:
-            print("error: --baseline must be non-negative", file=sys.stderr)
-            return EXIT_BAD_INPUT
         propagation = subtract_baseline(samples, args.baseline)
         valid = [s for s in samples if s.valid]
         lines = ["request_seq,prop_s,flagged_negative"]

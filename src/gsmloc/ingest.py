@@ -10,16 +10,20 @@ The direction comes solely from the trailing token. Timestamps are decimal
 seconds with up to six fractional digits; they are held as exact integer
 microseconds internally so golden comparisons never drift through floats.
 
-Requests pair with the next following reply whose (src, dst) is the
-reverse of theirs; the exports carry no ICMP sequence/id fields, so record
-order is the only pairing key available. A reply timestamped before its
-request yields an invalid sample flagged as a negative interval rather
-than being dropped.
+Each request pairs with the earliest unconsumed reply after it whose
+(src, dst) is the reverse of its own; the exports carry no ICMP
+sequence/id fields, so record order is the only pairing key available.
+Replies on a path are therefore consumed in file order, which lets
+``pair_rtts`` run as one O(n) forward pass with a FIFO of pending requests
+per path. A reply timestamped before its request yields an invalid sample
+flagged as a negative interval rather than being dropped.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .errors import EmptyDataError
@@ -127,43 +131,48 @@ def parse_ping_log(text: str, warnings: list[str] | None = None) -> list[PingRec
 
 
 def pair_rtts(records: list[PingRecord]) -> list[RttSample]:
-    """Pair each request with the next unconsumed reply on the reverse path.
+    """Pair each request with the earliest unconsumed reverse-path reply after it.
 
     Produces one sample per request, in request order. A reply earlier than
     its request gives valid=False with a NEGATIVE anomaly; a request with no
     following reverse-path reply gives valid=False with MISSING_REPLY.
     Every record participates in at most one pair.
+
+    One forward pass keeps a FIFO of pending requests per (src, dst) path,
+    each holding its slot in the output. A reply pops the oldest pending
+    request on its reverse path; a reply with nothing pending is never used.
+    This equals taking requests in file order, each claiming its earliest
+    unconsumed reverse-path reply: a later request only sees replies after
+    itself, which are also after every earlier request on its path, so
+    replies are claimed in file order and each goes to the oldest request
+    still waiting before it. Cost is O(n) in the number of records.
     """
-    consumed = [False] * len(records)
-    samples = []
-    for i, record in enumerate(records):
-        if record.direction != REQUEST:
+    samples: list[RttSample | None] = []
+    pending: defaultdict[tuple[str, str], deque[tuple[int, PingRecord]]] = defaultdict(deque)
+    for record in records:
+        if record.direction == REQUEST:
+            pending[record.src, record.dst].append((len(samples), record))
+            samples.append(None)
             continue
-        reply = None
-        for j in range(i + 1, len(records)):
-            candidate = records[j]
-            if (
-                not consumed[j]
-                and candidate.direction == REPLY
-                and candidate.src == record.dst
-                and candidate.dst == record.src
-            ):
-                reply = candidate
-                consumed[j] = True
-                break
-        if reply is None:
-            samples.append(
-                RttSample(record.seq, None, None, valid=False, anomaly=MISSING_REPLY)
-            )
+        queue = pending.get((record.dst, record.src))
+        if not queue:
             continue
-        rtt_us = reply.time_us - record.time_us
+        slot, request = queue.popleft()
+        rtt_us = record.time_us - request.time_us
         if rtt_us < 0:
-            samples.append(
-                RttSample(record.seq, reply.seq, rtt_us, valid=False, anomaly=NEGATIVE)
-            )
+            samples[slot] = RttSample(request.seq, record.seq, rtt_us, valid=False, anomaly=NEGATIVE)
         else:
-            samples.append(RttSample(record.seq, reply.seq, rtt_us, valid=True))
+            samples[slot] = RttSample(request.seq, record.seq, rtt_us, valid=True)
+    for queue in pending.values():
+        for slot, request in queue:
+            samples[slot] = RttSample(request.seq, None, None, valid=False, anomaly=MISSING_REPLY)
     return samples
+
+
+def check_kernel_delay(kernel_delay: float) -> None:
+    """Raise ValueError unless the kernel delay is finite and non-negative."""
+    if not (math.isfinite(kernel_delay) and kernel_delay >= 0):
+        raise ValueError(f"kernel delay must be finite and non-negative, got {kernel_delay}")
 
 
 def subtract_baseline(samples: list[RttSample], kernel_delay: float) -> list[float]:
@@ -172,10 +181,10 @@ def subtract_baseline(samples: list[RttSample], kernel_delay: float) -> list[flo
     Returns propagation times in seconds, one per valid sample in order. A
     negative result means the baseline overestimates the kernel delay for
     that sample (propagation cannot be negative); values are returned as-is
-    so callers can flag them.
+    so callers can flag them. Raises ValueError for a kernel delay that is
+    negative or not finite.
     """
-    if kernel_delay < 0:
-        raise ValueError(f"kernel_delay must be non-negative, got {kernel_delay}")
+    check_kernel_delay(kernel_delay)
     return [s.rtt_us / US_PER_S - kernel_delay for s in samples if s.valid]
 
 

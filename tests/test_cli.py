@@ -186,6 +186,18 @@ class TestAnalyzeLog:
     def test_unreadable_log_exit_2(self, tmp_path):
         assert main(["analyze-log", str(tmp_path / "missing.log"), "-o", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("baseline", ["nan", "inf", "-1"])
+    def test_bad_baseline_exit_2_before_reading_log(self, tmp_path, tower3_log, capsys, baseline):
+        log = tmp_path / "tower3.log"
+        log.write_text(tower3_log)
+        out = tmp_path / "out"
+        assert main(["analyze-log", str(log), "--baseline", baseline, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --baseline")
+        assert not out.exists()
+        missing = tmp_path / "missing.log"
+        assert main(["analyze-log", str(missing), "--baseline", baseline, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --baseline")
+
     def test_pairing_capture_matches_goldens(self, tmp_path, golden_dir):
         # Two interleaved paths, a lost reply that shifts later pairs, an
         # orphan reply, a negative interval, a src == dst path, a trailing

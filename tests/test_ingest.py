@@ -1,4 +1,10 @@
+import math
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from pairing_oracle import pair_rtts as oracle_pair_rtts
 
 from gsmloc.errors import EmptyDataError
 from gsmloc.ingest import (
@@ -6,6 +12,7 @@ from gsmloc.ingest import (
     NEGATIVE,
     REPLY,
     REQUEST,
+    PingRecord,
     RttSample,
     discrepancy_report,
     format_ping_record,
@@ -23,6 +30,28 @@ from gsmloc.ingest import (
 TOWER1_TABLE_US = [783, 799, 690, 985, 567, 533, 671]
 TOWER2_TABLE_US = [543, 664, 764, 667, 3608, 674, 645]
 TOWER3_TABLE_US = [774, 694, 714, 655, 672, 778, 770]
+
+
+@st.composite
+def ping_records(draw):
+    """0-40 records over 1-3 hosts, so src == dst paths occur, with few
+    distinct timestamps, so ties and negative intervals are common."""
+    hosts = ["10.0.0.1", "10.0.0.2", "10.0.0.3"][: draw(st.integers(1, 3))]
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(hosts),
+                st.sampled_from(hosts),
+                st.sampled_from([REQUEST, REPLY]),
+                st.integers(0, 5),
+            ),
+            max_size=40,
+        )
+    )
+    return [
+        PingRecord(seq, time_us, src, dst, direction)
+        for seq, (src, dst, direction, time_us) in enumerate(rows)
+    ]
 
 
 def samples_from_us(values_us):
@@ -132,6 +161,24 @@ class TestPairing:
                 if sample.valid:
                     assert sample.rtt_us >= 0
 
+    @settings(max_examples=500, deadline=None)
+    @given(ping_records())
+    def test_matches_quadratic_oracle(self, records):
+        assert pair_rtts(records) == oracle_pair_rtts(records)
+
+    def test_all_replies_missing_is_linear(self):
+        # The worst case for per-request rescanning: nothing ever pairs.
+        records = [
+            PingRecord(seq, seq * 1000, "10.0.0.1", "10.0.0.2", REQUEST)
+            for seq in range(16_000)
+        ]
+        start = time.perf_counter()
+        samples = pair_rtts(records)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        assert [s.request_seq for s in samples] == list(range(16_000))
+        assert all(s.anomaly == MISSING_REPLY and not s.valid for s in samples)
+
 
 class TestPublishedTables:
     """Parsed traces against the published per-tower RTT tables.
@@ -192,6 +239,11 @@ class TestBaseline:
     def test_rejects_negative_baseline(self):
         with pytest.raises(ValueError):
             subtract_baseline([], -1e-6)
+
+    @pytest.mark.parametrize("kernel_delay", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_baseline(self, kernel_delay):
+        with pytest.raises(ValueError):
+            subtract_baseline(samples_from_us([690]), kernel_delay)
 
 
 class TestStats:
