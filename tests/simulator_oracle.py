@@ -1,0 +1,160 @@
+"""The original heap-driven ``run_scenario``, kept as a test oracle.
+
+Events go through a ``heapq`` keyed by (time, kind, tower id), and every
+ack carries an ``AckPacket`` that repeats the tower's id and position.
+``first_k_acks`` and ``format_trace`` are the versions that read those
+packets. ``gsmloc.simulator.run_scenario`` must give the same events,
+measurements, fix and rendered trace, or raise the same error.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
+
+import numpy as np
+
+from gsmloc.errors import InsufficientMeasurementsError
+from gsmloc.geometry import Point3, TowerSite, distance
+from gsmloc.simulator import Event, EventKind, RequestPacket, ScenarioConfig, Trace
+from gsmloc.timing import distance_from_turnaround, quantize
+from gsmloc.trilateration import NONNEGATIVE, LocationFix, RangeMeasurement, solve_position
+
+
+@dataclass(frozen=True)
+class AckPacket:
+    """Tower's unicast reply echoing the request's original timestamp."""
+
+    destination: str
+    tower: int
+    tower_coord: Point3
+    timestamp: float  # the echoed request timestamp, unmodified
+
+
+def run_scenario(
+    config: ScenarioConfig, trial_index: int = 0
+) -> tuple[Trace, list[RangeMeasurement], LocationFix]:
+    """Execute one exchange and localize from the first three acks.
+
+    For tower i at distance d_i the request arrives at t0 + d_i/c and the
+    ack returns at t0 + 2*d_i/c + tower_processing_delay. Ack arrival
+    timestamps pass through the mobile clock's quantization before the
+    turn-around time is formed, so a coarse clock degrades the ranges
+    exactly as a real kernel timestamp would.
+
+    Returns:
+        (trace, measurements, fix) where measurements are the first three
+        acks by arrival time (ties by tower id) converted to ranges, and
+        fix is the three-tower solve over them.
+
+    Raises:
+        InsufficientMeasurementsError: fewer than 3 acks arrived (reachable
+            only with packet_loss > 0).
+    """
+    rng = np.random.default_rng([config.rng_seed, trial_index])
+    c = config.timing.c
+    t0 = config.request_time
+    request = RequestPacket(timestamp=t0, mob_id=config.mobile_id)
+
+    heap: list[tuple[float, int, int, Event]] = []
+    # Broadcast: one request per tower, each possibly lost in flight.
+    # Draws happen in tower order so loss patterns are reproducible.
+    for tower in config.towers:
+        if config.packet_loss > 0.0 and rng.random() < config.packet_loss:
+            continue
+        d = distance(config.mobile_true_position, tower.position)
+        arrival = t0 + d / c
+        event = Event(arrival, EventKind.REQUEST_ARRIVES, tower.id, request)
+        heapq.heappush(heap, (arrival, int(event.kind), tower.id, event))
+
+    site_by_id = {t.id: t for t in config.towers}
+    events: list[Event] = []
+    while heap:
+        _, _, tower_id, event = heapq.heappop(heap)
+        events.append(event)
+        if event.kind is not EventKind.REQUEST_ARRIVES:
+            continue
+        # Tower handler: echo the original timestamp after the fixed
+        # processing delay; the ack may itself be lost.
+        if config.packet_loss > 0.0 and rng.random() < config.packet_loss:
+            continue
+        tower = site_by_id[tower_id]
+        ack = AckPacket(
+            destination=event.payload.mob_id,
+            tower=tower_id,
+            tower_coord=tower.position,
+            timestamp=event.payload.timestamp,
+        )
+        d = distance(config.mobile_true_position, tower.position)
+        arrival = event.time + config.tower_processing_delay + d / c
+        ack_event = Event(arrival, EventKind.ACK_ARRIVES, tower_id, ack)
+        heapq.heappush(heap, (arrival, int(ack_event.kind), tower_id, ack_event))
+
+    trace = Trace(
+        events=tuple(events),
+        timing=config.timing,
+        towers=config.towers,
+        mobile_id=config.mobile_id,
+    )
+    measurements = first_k_acks(trace, 3)
+    fix = solve_position(
+        [m.tower for m in measurements],
+        [m.range_m for m in measurements],
+        z_convention=NONNEGATIVE,
+    )
+    return trace, measurements, fix
+
+
+def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
+    """The first k acknowledgments by arrival time, converted to ranges.
+
+    Arrival order is the trace's event order (ties already broken by tower
+    id). Each ack's arrival timestamp is quantized by the trace's clock
+    resolution before the turn-around time is formed against the echoed
+    send timestamp.
+
+    Raises:
+        InsufficientMeasurementsError: if the trace holds fewer than k acks.
+    """
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    acks = [e for e in trace.events if e.kind is EventKind.ACK_ARRIVES]
+    if len(acks) < k:
+        raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
+    measurements = []
+    for event in acks[:k]:
+        ack = event.payload
+        measured_arrival = quantize(event.time, trace.timing.clock_resolution)
+        turnaround = measured_arrival - ack.timestamp
+        range_m = distance_from_turnaround(turnaround, trace.timing)
+        measurements.append(
+            RangeMeasurement(
+                tower=TowerSite(ack.tower, ack.tower_coord),
+                turnaround=turnaround,
+                range_m=range_m,
+            )
+        )
+    return measurements
+
+
+def format_trace(trace: Trace) -> str:
+    """Render a trace as tab-separated lines: time, kind, tower id, detail.
+
+    Times carry 9 decimal digits; lines appear in event (time) order. The
+    output is a pure function of the trace, so identical configs produce
+    byte-identical files.
+    """
+    lines = []
+    for event in trace.events:
+        if event.kind is EventKind.REQUEST_ARRIVES:
+            kind = "request_arrives"
+            detail = f"mob={event.payload.mob_id} sent={event.payload.timestamp:.9f}"
+        else:
+            kind = "ack_arrives"
+            pos = event.payload.tower_coord
+            detail = (
+                f"echo={event.payload.timestamp:.9f}"
+                f" tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
+            )
+        lines.append(f"{event.time:.9f}\t{kind}\t{event.tower_id}\t{detail}")
+    return "\n".join(lines) + "\n"

@@ -71,6 +71,17 @@ class TestSimulate:
             out_a / "simulate_manifest.json"
         ) == manifest_without_timestamp(out_b / "simulate_manifest.json")
 
+    @pytest.mark.parametrize("name", ["lossless", "lossy"])
+    def test_matches_goldens(self, tmp_path, golden_dir, name):
+        # lossy: seed 1 loses the request to tower 5 and the ack from
+        # tower 0, and towers 3/7 and 2/6 tie in distance.
+        config = golden_dir.parent / f"simulate_{name}.json"
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "-o", str(out)]) == 0
+        for file_name in ("trace.tsv", "measurements.csv", "fix.txt"):
+            expected = golden_dir / "simulate" / name / file_name
+            assert (out / file_name).read_bytes() == expected.read_bytes(), file_name
+
     def test_digest_tracks_content_not_formatting(self, tmp_path):
         pretty = tmp_path / "pretty.json"
         pretty.write_text(json.dumps(HEX_CONFIG, indent=4, sort_keys=True))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import simulator_oracle as oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsmloc.errors import ConfigError, InsufficientMeasurementsError
 from gsmloc.geometry import Point3, TowerSite, distance, hex_cell_layout
@@ -248,3 +251,50 @@ class TestRenderers:
         csv_text = measurement_csv(measurements, Point3(0, 0, 0))
         first_row = csv_text.splitlines()[1]
         assert first_row.endswith(",")
+
+
+@st.composite
+def scenario_configs(draw):
+    """3-12 towers with arbitrary unique ids on a coarse grid.
+
+    The grid makes distances tie and lets sites coincide with each other
+    or with the mobile.
+    """
+    n = draw(st.integers(3, 12))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    coord = st.integers(-4, 4).map(lambda v: 250.0 * v)
+    height = st.sampled_from([0.0, 40.0])
+    towers = tuple(TowerSite(i, Point3(draw(coord), draw(coord), draw(height))) for i in ids)
+    delay = draw(st.sampled_from([0.0, 1e-6]))
+    timing = TimingModel(
+        alpha=draw(st.sampled_from([0.0, delay])),
+        clock_resolution=draw(st.sampled_from([0.0, 1e-9, 1e-7])),
+    )
+    return ScenarioConfig(
+        towers=towers,
+        mobile_true_position=Point3(draw(coord), draw(coord), 0.0),
+        timing=timing,
+        tower_processing_delay=delay,
+        rng_seed=draw(st.integers(0, 2**31)),
+        request_time=draw(st.sampled_from([0.0, 2.5])),
+        packet_loss=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3), st.floats(0.0, 1.0))),
+    )
+
+
+def _outcome(run, render, config, trial_index):
+    try:
+        trace, measurements, fix = run(config, trial_index)
+    except Exception as exc:
+        return type(exc), str(exc)
+    events = [(e.time, e.kind, e.tower_id, e.payload.timestamp) for e in trace.events]
+    return events, render(trace), measurements, fix
+
+
+class TestHeapOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(scenario_configs())
+    def test_matches_heap_engine(self, config):
+        for trial_index in (0, 1, 7):
+            assert _outcome(run_scenario, format_trace, config, trial_index) == _outcome(
+                oracle.run_scenario, oracle.format_trace, config, trial_index
+            )
