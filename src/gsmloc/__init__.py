@@ -36,7 +36,6 @@ from .ingest import (
     subtract_baseline,
 )
 from .simulator import (
-    AckPacket,
     Event,
     EventKind,
     RequestPacket,

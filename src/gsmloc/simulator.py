@@ -1,4 +1,4 @@
-"""Deterministic discrete-event execution of the ranging protocol.
+"""Deterministic execution of the ranging protocol.
 
 One exchange: the mobile broadcasts a timestamped request; every tower that
 receives it answers with an acknowledgment carrying its own coordinates and
@@ -8,15 +8,15 @@ clock), converts the first three turn-around times to ranges, and solves
 for its position.
 
 Propagation is straight-line at the timing model's speed with no fading or
-multipath. The event queue is strictly single-threaded; ties are broken by
-(time, kind, tower id) so traces are byte-reproducible. Randomness enters
-only through the optional packet-loss knob, drawn from a PRNG seeded by
-(rng_seed, trial_index), making every trial a pure function of its config.
+multipath, so every arrival time has a closed form and the trace is those
+arrivals sorted by (time, kind, tower id), which makes traces
+byte-reproducible. Randomness enters only through the optional packet-loss
+knob, drawn from a PRNG seeded by (rng_seed, trial_index), making every
+trial a pure function of its config.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -48,23 +48,17 @@ class RequestPacket:
 
 
 @dataclass(frozen=True)
-class AckPacket:
-    """Tower's unicast reply echoing the request's original timestamp."""
-
-    destination: str
-    tower: int
-    tower_coord: Point3
-    timestamp: float  # the echoed request timestamp, unmodified
-
-
-@dataclass(frozen=True)
 class Event:
-    """One arrival in the exchange, as recorded in the trace."""
+    """One arrival in the exchange, as recorded in the trace.
+
+    Both kinds carry the mobile's request: an ack echoes it unmodified, and
+    the acking tower's position is the trace's site with id tower_id.
+    """
 
     time: float
     kind: EventKind
     tower_id: int
-    payload: RequestPacket | AckPacket
+    payload: RequestPacket
 
 
 @dataclass(frozen=True)
@@ -119,10 +113,13 @@ def run_scenario(
     """Execute one exchange and localize from the first three acks.
 
     For tower i at distance d_i the request arrives at t0 + d_i/c and the
-    ack returns at t0 + 2*d_i/c + tower_processing_delay. Ack arrival
-    timestamps pass through the mobile clock's quantization before the
-    turn-around time is formed, so a coarse clock degrades the ranges
-    exactly as a real kernel timestamp would.
+    ack returns at (t0 + d_i/c) + tower_processing_delay + d_i/c. Each
+    distance is computed once. With packet loss, request losses are drawn
+    in tower order, then ack losses in request-arrival order (ties by
+    tower id); the trace is all surviving arrivals sorted by (time, kind,
+    tower id). Ack arrival timestamps pass through the mobile clock's
+    quantization before the turn-around time is formed, so a coarse clock
+    degrades the ranges exactly as a real kernel timestamp would.
 
     Returns:
         (trace, measurements, fix) where measurements are the first three
@@ -134,43 +131,28 @@ def run_scenario(
             only with packet_loss > 0).
     """
     rng = np.random.default_rng([config.rng_seed, trial_index])
+    lossy = config.packet_loss > 0.0
     c = config.timing.c
     t0 = config.request_time
     request = RequestPacket(timestamp=t0, mob_id=config.mobile_id)
 
-    heap: list[tuple[float, int, int, Event]] = []
-    # Broadcast: one request per tower, each possibly lost in flight.
-    # Draws happen in tower order so loss patterns are reproducible.
+    requests = []
     for tower in config.towers:
-        if config.packet_loss > 0.0 and rng.random() < config.packet_loss:
+        if lossy and rng.random() < config.packet_loss:
             continue
         d = distance(config.mobile_true_position, tower.position)
-        arrival = t0 + d / c
-        event = Event(arrival, EventKind.REQUEST_ARRIVES, tower.id, request)
-        heapq.heappush(heap, (arrival, int(event.kind), tower.id, event))
+        requests.append((t0 + d / c, tower.id, d))
+    requests.sort()
 
-    site_by_id = {t.id: t for t in config.towers}
-    events: list[Event] = []
-    while heap:
-        _, _, tower_id, event = heapq.heappop(heap)
-        events.append(event)
-        if event.kind is not EventKind.REQUEST_ARRIVES:
+    events = [
+        Event(arrival, EventKind.REQUEST_ARRIVES, tower_id, request) for arrival, tower_id, _ in requests
+    ]
+    for arrival, tower_id, d in requests:
+        if lossy and rng.random() < config.packet_loss:
             continue
-        # Tower handler: echo the original timestamp after the fixed
-        # processing delay; the ack may itself be lost.
-        if config.packet_loss > 0.0 and rng.random() < config.packet_loss:
-            continue
-        tower = site_by_id[tower_id]
-        ack = AckPacket(
-            destination=event.payload.mob_id,
-            tower=tower_id,
-            tower_coord=tower.position,
-            timestamp=event.payload.timestamp,
-        )
-        d = distance(config.mobile_true_position, tower.position)
-        arrival = event.time + config.tower_processing_delay + d / c
-        ack_event = Event(arrival, EventKind.ACK_ARRIVES, tower_id, ack)
-        heapq.heappush(heap, (arrival, int(ack_event.kind), tower_id, ack_event))
+        ack_arrival = arrival + config.tower_processing_delay + d / c
+        events.append(Event(ack_arrival, EventKind.ACK_ARRIVES, tower_id, request))
+    events.sort(key=lambda e: (e.time, e.kind, e.tower_id))
 
     trace = Trace(
         events=tuple(events),
@@ -213,19 +195,13 @@ def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
     acks = [e for e in trace.events if e.kind is EventKind.ACK_ARRIVES]
     if len(acks) < k:
         raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
+    site_by_id = {t.id: t for t in trace.towers}
     measurements = []
     for event in acks[:k]:
-        ack = event.payload
         measured_arrival = quantize(event.time, trace.timing.clock_resolution)
-        turnaround = measured_arrival - ack.timestamp
+        turnaround = measured_arrival - event.payload.timestamp
         range_m = distance_from_turnaround(turnaround, trace.timing)
-        measurements.append(
-            RangeMeasurement(
-                tower=TowerSite(ack.tower, ack.tower_coord),
-                turnaround=turnaround,
-                range_m=range_m,
-            )
-        )
+        measurements.append(RangeMeasurement(site_by_id[event.tower_id], turnaround, range_m))
     return measurements
 
 
@@ -236,6 +212,7 @@ def format_trace(trace: Trace) -> str:
     output is a pure function of the trace, so identical configs produce
     byte-identical files.
     """
+    position_by_id = {t.id: t.position for t in trace.towers}
     lines = []
     for event in trace.events:
         if event.kind is EventKind.REQUEST_ARRIVES:
@@ -243,7 +220,7 @@ def format_trace(trace: Trace) -> str:
             detail = f"mob={event.payload.mob_id} sent={event.payload.timestamp:.9f}"
         else:
             kind = "ack_arrives"
-            pos = event.payload.tower_coord
+            pos = position_by_id[event.tower_id]
             detail = (
                 f"echo={event.payload.timestamp:.9f}"
                 f" tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
