@@ -7,9 +7,13 @@ identical manifests except for the created_utc field, which is excluded
 from the digest. No command writes partial output files on failure: all
 content is rendered in memory first and written only on success.
 
+Commands raise on failure; main maps each error type to its exit code and
+prints one "error: ..." line on stderr.
+
 Exit codes:
     0  success (feasibility: the clock is sufficient)
-    1  feasibility: the clock cannot resolve the requested range
+    1  feasibility: the clock cannot resolve the requested range (a
+       verdict, never an error)
     2  invalid input (unreadable file, malformed config, bad parameters)
     3  degenerate tower geometry
     4  no usable data (zero valid RTT pairs, or too few acknowledgments)
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -29,6 +34,7 @@ from . import __version__
 from .errors import (
     ConfigError,
     DegenerateGeometryError,
+    EmptyDataError,
     GsmlocError,
     InsufficientMeasurementsError,
 )
@@ -66,6 +72,15 @@ EXIT_BAD_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_NO_DATA = 4
 
+# (error type, exit code, stderr prefix after "error: "), checked in order,
+# so every subclass comes before its base class.
+ERROR_EXITS = (
+    (DegenerateGeometryError, EXIT_DEGENERATE, "degenerate geometry: "),
+    (InsufficientMeasurementsError, EXIT_NO_DATA, ""),
+    (EmptyDataError, EXIT_NO_DATA, ""),
+    (GsmlocError, EXIT_BAD_INPUT, ""),
+)
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -100,6 +115,13 @@ def _write_outputs(out_dir: Path, files: dict[str, str], manifest: RunManifest) 
     (out_dir / f"{manifest.command.replace('-', '_')}_manifest.json").write_text(
         manifest.to_json()
     )
+
+
+def _read_input(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def load_scenario_config(path: Path) -> tuple[ScenarioConfig, str]:
@@ -177,21 +199,12 @@ def _fix_report(fix: LocationFix, tower_ids: list[int]) -> str:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config, digest = load_scenario_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        trace, measurements, fix = run_scenario(config)
-        n_acks = sum(1 for e in trace.events if e.kind is EventKind.ACK_ARRIVES)
-        all_measurements = first_k_acks(trace, n_acks)
-    except DegenerateGeometryError as exc:
-        print(f"error: degenerate geometry: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except InsufficientMeasurementsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_DATA
+    config, digest = load_scenario_config(args.config)
+    if config.trials > 1:
+        raise ConfigError(f"simulate runs one trial; trials must be 1, got {config.trials}")
+    trace, measurements, fix = run_scenario(config)
+    n_acks = sum(1 for e in trace.events if e.kind is EventKind.ACK_ARRIVES)
+    all_measurements = first_k_acks(trace, n_acks)
 
     files = {
         "trace.tsv": format_trace(trace),
@@ -212,50 +225,46 @@ def cmd_simulate(args) -> int:
 
 
 def _load_locate_rows(path: Path) -> list[tuple[int, float, float, float, float]]:
-    rows = []
-    for line in path.read_text().splitlines():
+    """Rows of 'id x y z range' (or 'x y z range', numbered in file order).
+
+    Raises ConfigError for a malformed row, a non-finite number, a negative
+    range or id, or a repeated id.
+    """
+    rows, seen = [], set()
+    for line in _read_input(path).splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         tokens = stripped.split()
-        if len(tokens) == 4:
-            tower_id = len(rows)
-            x, y, z, r = (float(v) for v in tokens)
-        elif len(tokens) == 5:
-            tower_id = int(tokens[0])
-            x, y, z, r = (float(v) for v in tokens[1:])
-        else:
+        if len(tokens) not in (4, 5):
             raise ConfigError(f"expected 'x y z range' or 'id x y z range', got {stripped!r}")
+        try:
+            tower_id = int(tokens[0]) if len(tokens) == 5 else len(rows)
+            x, y, z, r = (float(v) for v in tokens[-4:])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not all(math.isfinite(v) for v in (x, y, z, r)):
+            raise ConfigError(f"coordinates and range must be finite, got {stripped!r}")
+        if r < 0 or tower_id < 0:
+            raise ConfigError(f"range and tower id must be non-negative, got {stripped!r}")
+        if tower_id in seen:
+            raise ConfigError(f"tower id {tower_id} appears twice")
+        seen.add(tower_id)
         rows.append((tower_id, x, y, z, r))
     return rows
 
 
 def cmd_locate(args) -> int:
-    try:
-        rows = _load_locate_rows(args.input)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    rows = _load_locate_rows(args.input)
     if len(rows) < 3:
-        print(f"error: need at least 3 tower/range rows, got {len(rows)}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ConfigError(f"need at least 3 tower/range rows, got {len(rows)}")
 
     towers = [TowerSite(row[0], Point3(row[1], row[2], row[3])) for row in rows]
     ranges = [row[4] for row in rows]
-    try:
-        if len(rows) == 3:
-            fix = solve_position(towers, ranges, z_convention=args.z_convention)
-        else:
-            fix = multilaterate_lsq(towers, ranges)
-    except DegenerateGeometryError as exc:
-        print(f"error: degenerate geometry: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except GsmlocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if len(rows) == 3:
+        fix = solve_position(towers, ranges, z_convention=args.z_convention)
+    else:
+        fix = multilaterate_lsq(towers, ranges)
 
     report = _fix_report(fix, [t.id for t in towers])
     print(report, end="")
@@ -275,19 +284,13 @@ def cmd_analyze_log(args) -> int:
         try:
             check_kernel_delay(args.baseline)
         except ValueError as exc:
-            print(f"error: --baseline: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    try:
-        text = args.log.read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.log}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+            raise ConfigError(f"--baseline: {exc}") from exc
+    text = _read_input(args.log)
     warnings: list[str] = []
     records = parse_ping_log(text, warnings)
     samples = pair_rtts(records)
     if not any(s.valid for s in samples):
-        print("error: no valid request/reply pairs in log", file=sys.stderr)
-        return EXIT_NO_DATA
+        raise EmptyDataError("no valid request/reply pairs in log")
 
     stats = rtt_stats(samples)
     files = {
@@ -320,9 +323,16 @@ def cmd_analyze_log(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    if args.range_m <= 0:
-        print(f"error: --range must be positive, got {args.range_m}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    checks = (
+        ("--range", args.range_m, "positive"),
+        ("--clock", args.clock, "non-negative"),
+        ("--c", args.c, "positive"),
+    )
+    for flag, value, sign in checks:
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+        if value < 0 or (value == 0 and sign == "positive"):
+            raise ConfigError(f"{flag} must be {sign}, got {value}")
     report = required_precision(args.range_m, c=args.c, available=args.clock)
     verdict = "feasible" if report.feasible else "NOT feasible"
     print(
@@ -388,7 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GsmlocError as exc:
+        code, prefix = next((c, p) for kind, c, p in ERROR_EXITS if isinstance(exc, kind))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

@@ -57,6 +57,24 @@ class TestSimulate:
         config = write_config(tmp_path / "collinear.json", bad)
         assert main(["simulate", str(config), "-o", str(tmp_path / "out")]) == 3
 
+    def test_more_than_one_trial_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "trials.json", dict(HEX_CONFIG, trials=3))
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trials" in err
+        assert not out.exists()
+
+    def test_delay_above_processing_time_exit_2(self, tmp_path, capsys):
+        # alpha larger than the towers' processing delay makes every
+        # turn-around time negative after calibration
+        bad = dict(HEX_CONFIG, timing=dict(HEX_CONFIG["timing"], alpha=1e-3))
+        config = write_config(tmp_path / "alpha.json", bad)
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: turnaround ")
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json"), "-o", str(tmp_path)]) == 2
 
@@ -147,6 +165,38 @@ class TestLocate:
         rows.write_text("0 0 0 0 1\n1 5 0 0 1\n")
         assert main(["locate", str(rows), "-o", str(tmp_path)]) == 2
 
+    def test_collinear_error_line(self, tmp_path, capsys):
+        rows = tmp_path / "rows.txt"
+        rows.write_text("0 0 0 0 1\n1 5 0 0 1\n2 9 0 0 1\n")
+        main(["locate", str(rows), "-o", str(tmp_path)])
+        assert capsys.readouterr().err.startswith("error: degenerate geometry: ")
+
+    def test_unreadable_input_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main(["locate", str(missing), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            "0 0 0 0 -1",  # negative range
+            "0 nan 0 0 1",
+            "0 0 inf 0 1",
+            "0 0 0 0 nan",
+            "0 0 0 0 inf",
+            "-1 0 0 0 1",  # negative tower id
+            "2 0 0 0 1",  # repeats the id of the last good row
+        ],
+    )
+    def test_bad_row_exit_2(self, tmp_path, capsys, bad_row):
+        rows = tmp_path / "rows.txt"
+        rows.write_text(f"{bad_row}\n1 10 0 0 9.486832980505138\n2 0 10 0 8.366600265340756\n")
+        out = tmp_path / "out"
+        assert main(["locate", str(rows), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_inconsistent_ranges_still_exit_0(self, tmp_path, capsys):
         rows = tmp_path / "rows.txt"
         rows.write_text("0 0 0 0 1\n1 10 0 0 1\n2 0 10 0 1\n")
@@ -194,8 +244,16 @@ class TestAnalyzeLog:
         assert main(["analyze-log", str(log), "-o", str(tmp_path / "out")]) == 4
         assert not (tmp_path / "out").exists()
 
-    def test_unreadable_log_exit_2(self, tmp_path):
-        assert main(["analyze-log", str(tmp_path / "missing.log"), "-o", str(tmp_path)]) == 2
+    def test_unreadable_log_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.log"
+        assert main(["analyze-log", str(missing), "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+    def test_no_pairs_error_line(self, tmp_path, capsys):
+        log = tmp_path / "empty.log"
+        log.write_text("")
+        main(["analyze-log", str(log), "-o", str(tmp_path / "out")])
+        assert capsys.readouterr().err == "error: no valid request/reply pairs in log\n"
 
     @pytest.mark.parametrize("baseline", ["nan", "inf", "-1"])
     def test_bad_baseline_exit_2_before_reading_log(self, tmp_path, tower3_log, capsys, baseline):
@@ -243,6 +301,28 @@ class TestFeasibility:
 
     def test_nonpositive_range_exit_2(self, tmp_path):
         assert main(["feasibility", "--range", "0", "--clock", "1e-6", "-o", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--range", "nan"),
+            ("--range", "inf"),
+            ("--clock", "-1"),
+            ("--clock", "nan"),
+            ("--clock", "inf"),
+            ("--c", "0"),
+            ("--c", "-1"),
+            ("--c", "nan"),
+            ("--c", "inf"),
+        ],
+    )
+    def test_bad_number_exit_2(self, tmp_path, capsys, flag, value):
+        args = {"--range": "175", "--clock": "1e-6", "--c": "3e8", flag: value}
+        out = tmp_path / "out"
+        argv = ["feasibility", *(item for pair in args.items() for item in pair), "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not out.exists()
 
     def test_manifest_written(self, tmp_path):
         main(["feasibility", "--range", "175", "--clock", "1e-6", "-o", str(tmp_path)])
