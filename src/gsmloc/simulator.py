@@ -150,6 +150,7 @@ def run_scenario(
     for arrival, tower_id, d in requests:
         if lossy and rng.random() < config.packet_loss:
             continue
+        # Summed in this order, not as t0 + 2*d/c + delay: the rounding shows in traces.
         ack_arrival = arrival + config.tower_processing_delay + d / c
         events.append(Event(ack_arrival, EventKind.ACK_ARRIVES, tower_id, request))
     events.sort(key=lambda e: (e.time, e.kind, e.tower_id))

@@ -6,7 +6,7 @@ import simulator_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsmloc.errors import ConfigError, InsufficientMeasurementsError
+from gsmloc.errors import ConfigError, GsmlocError, InsufficientMeasurementsError
 from gsmloc.geometry import Point3, TowerSite, distance, hex_cell_layout
 from gsmloc.simulator import (
     EventKind,
@@ -284,7 +284,7 @@ def scenario_configs(draw):
 def _outcome(run, render, config, trial_index):
     try:
         trace, measurements, fix = run(config, trial_index)
-    except Exception as exc:
+    except (GsmlocError, ValueError) as exc:
         return type(exc), str(exc)
     events = [(e.time, e.kind, e.tower_id, e.payload.timestamp) for e in trace.events]
     return events, render(trace), measurements, fix
