@@ -8,8 +8,8 @@ Submodules:
                     precision feasibility bound.
     trilateration:  sphere-difference systems, the 3-tower quadratic solve,
                     and least-squares multilateration.
-    simulator:      deterministic discrete-event execution of the
-                    request/acknowledge ranging protocol.
+    simulator:      deterministic execution of the request/acknowledge
+                    ranging protocol from closed-form arrival times.
     ingest:         ping-trace parsing, request/reply pairing, baseline
                     subtraction, and RTT statistics.
     cli:            the ``gsmloc`` command-line interface.

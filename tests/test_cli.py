@@ -244,9 +244,12 @@ class TestAnalyzeLog:
         assert main(["analyze-log", str(log), "-o", str(tmp_path / "out")]) == 4
         assert not (tmp_path / "out").exists()
 
-    def test_unreadable_log_exit_2(self, tmp_path, capsys):
+    def test_unreadable_log_exit_2(self, tmp_path):
+        assert main(["analyze-log", str(tmp_path / "missing.log"), "-o", str(tmp_path)]) == 2
+
+    def test_unreadable_log_error_line(self, tmp_path, capsys):
         missing = tmp_path / "missing.log"
-        assert main(["analyze-log", str(missing), "-o", str(tmp_path)]) == 2
+        main(["analyze-log", str(missing), "-o", str(tmp_path)])
         assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
 
     def test_no_pairs_error_line(self, tmp_path, capsys):
