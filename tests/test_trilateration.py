@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import trilateration_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsmloc.errors import DegenerateGeometryError, InsufficientMeasurementsError
+from gsmloc.errors import DegenerateGeometryError, GsmlocError, InsufficientMeasurementsError
 from gsmloc.geometry import Point3, TowerSite, distance
 from gsmloc.trilateration import (
     LEAST_SQUARES,
@@ -275,3 +276,79 @@ class TestRangeMeasurement:
     def test_rejects_negative_range(self):
         with pytest.raises(ValueError):
             RangeMeasurement(RIGHT_TRIANGLE[0], 1e-6, -1.0)
+
+
+SPEED = 3.0e8  # m/s, the timing model's default
+
+
+def clock_ranges(mobile: Point3, towers, resolution: float) -> list[float]:
+    """Ranges through a truncating round-trip clock (exact when resolution is 0)."""
+    ranges = ranges_from(mobile, towers)
+    if resolution == 0.0:
+        return ranges
+    return [math.floor(2.0 * r / SPEED / resolution) * resolution * SPEED / 2.0 for r in ranges]
+
+
+def outcome(solver, *args):
+    """A fix as a comparable tuple, or the type of the error the solver raised."""
+    try:
+        fix = solver(*args)
+    except (GsmlocError, ValueError) as exc:
+        return type(exc)
+    return fix.position, fix.residuals, fix.method, fix.z_branch, fix.z_clamped
+
+
+# Millimetre coordinates within a kilometre, or a coarse 100 m grid on which
+# coincident and collinear towers and in-plane mobiles are common.
+FINE = st.integers(-10**6, 10**6).map(lambda k: k / 1000.0)
+COARSE = st.integers(-3, 3).map(lambda k: 100.0 * k)
+
+
+@st.composite
+def three_tower_cases(draw):
+    value = draw(st.sampled_from([FINE, COARSE]))
+    flat = draw(st.booleans())
+    height = draw(value)
+    towers = [
+        TowerSite(i, Point3(draw(value), draw(value), height if flat else draw(value)))
+        for i in range(3)
+    ]
+    in_plane = flat and draw(st.booleans())
+    mobile = Point3(draw(value), draw(value), height if in_plane else draw(value))
+    ranges = clock_ranges(mobile, towers, draw(st.sampled_from([0.0, 1e-9, 1e-8])))
+    return towers, ranges, draw(st.sampled_from([NONNEGATIVE, NONPOSITIVE]))
+
+
+def spread_towers(rng, n: int) -> list[TowerSite]:
+    """n towers with height spread: never close to coplanar."""
+    while True:
+        pts = np.column_stack([rng.uniform(-1000, 1000, size=(n, 2)), rng.uniform(0, 300, size=n)])
+        singular = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
+        if singular[2] > 1e-3 * singular[0]:
+            return [TowerSite(i, Point3(*p)) for i, p in enumerate(pts)]
+
+
+class TestAgainstOracle:
+    """The solver must reproduce the pre-merge solvers exactly where they gave a fix."""
+
+    @given(three_tower_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_three_towers_match_oracle(self, case):
+        towers, ranges, convention = case
+        assert outcome(solve_position, towers, ranges, convention) == outcome(
+            oracle.solve_position, towers, ranges, convention
+        )
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(4, 8),
+        st.sampled_from([0.0, 1e-9, 1e-8]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_height_spread_matches_oracle(self, seed, n, resolution):
+        rng = np.random.default_rng(seed)
+        towers = spread_towers(rng, n)
+        mobile = Point3(*rng.uniform(-1500, 1500, size=2), rng.uniform(-100, 400))
+        ranges = clock_ranges(mobile, towers, resolution)
+        want = outcome(oracle.multilaterate_lsq, towers, ranges)
+        assert outcome(multilaterate_lsq, towers, ranges) == want
