@@ -3,8 +3,8 @@
 
 Sweeps the mobile clock's resolution over several decades at a fixed
 3 km cell and reports the mean/median position error across 200 seeded
-mobile placements. Writes the sweep to resolution_sweep.csv for plotting
-with external tools.
+mobile placements. Writes the sweep to resolution_sweep.csv in the
+working directory for plotting with external tools.
 """
 
 from pathlib import Path
@@ -43,7 +43,7 @@ for resolution in RESOLUTIONS:
         f"{resolution:.1e},{errors.mean():.6f},{np.median(errors):.6f},{errors.max():.6f}"
     )
 
-out = Path(__file__).with_name("resolution_sweep.csv")
+out = Path("resolution_sweep.csv")
 out.write_text("\n".join(rows) + "\n")
 print(f"\nwrote {out}")
 print("a one-microsecond clock is two orders of magnitude off what this")

@@ -62,7 +62,6 @@ from .trilateration import (
     NONNEGATIVE,
     NONPOSITIVE,
     LocationFix,
-    multilaterate_lsq,
     solve_position,
 )
 
@@ -224,11 +223,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# Largest coordinate or range magnitude locate accepts, in meters. The solver
+# takes fourth powers of these (the squared length of the tower-plane normal),
+# which overflow the largest double, about 1.8e308, above about 1.5e76.
+_MAX_LOCATE_MAGNITUDE = 1e75
+
+
 def _load_locate_rows(path: Path) -> list[tuple[int, float, float, float, float]]:
     """Rows of 'id x y z range' (or 'x y z range', numbered in file order).
 
-    Raises ConfigError for a malformed row, a non-finite number, a negative
-    range or id, or a repeated id.
+    Raises ConfigError for a malformed row, a number that is not finite or
+    exceeds _MAX_LOCATE_MAGNITUDE in magnitude, a negative range or id, or a
+    repeated id.
     """
     rows, seen = [], set()
     for line in _read_input(path).splitlines():
@@ -243,8 +249,10 @@ def _load_locate_rows(path: Path) -> list[tuple[int, float, float, float, float]
             x, y, z, r = (float(v) for v in tokens[-4:])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not all(math.isfinite(v) for v in (x, y, z, r)):
-            raise ConfigError(f"coordinates and range must be finite, got {stripped!r}")
+        if not all(abs(v) <= _MAX_LOCATE_MAGNITUDE for v in (x, y, z, r)):
+            raise ConfigError(
+                f"numbers must be finite and at most {_MAX_LOCATE_MAGNITUDE:g} in absolute value, got {stripped!r}"
+            )
         if r < 0 or tower_id < 0:
             raise ConfigError(f"range and tower id must be non-negative, got {stripped!r}")
         if tower_id in seen:
@@ -260,11 +268,7 @@ def cmd_locate(args) -> int:
         raise ConfigError(f"need at least 3 tower/range rows, got {len(rows)}")
 
     towers = [TowerSite(row[0], Point3(row[1], row[2], row[3])) for row in rows]
-    ranges = [row[4] for row in rows]
-    if len(rows) == 3:
-        fix = solve_position(towers, ranges, z_convention=args.z_convention)
-    else:
-        fix = multilaterate_lsq(towers, ranges)
+    fix = solve_position(towers, [row[4] for row in rows], args.z_convention)
 
     report = _fix_report(fix, [t.id for t in towers])
     print(report, end="")
@@ -370,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--z-convention",
         choices=[NONNEGATIVE, NONPOSITIVE],
         default=NONNEGATIVE,
-        help="quadratic root to take for 3-tower solves",
+        help="root to take when the towers are coplanar",
     )
     loc.add_argument("-o", "--out-dir", type=Path, default=Path("."))
     loc.set_defaults(func=cmd_locate)

@@ -17,6 +17,7 @@ trial a pure function of its config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -99,12 +100,13 @@ class ScenarioConfig:
             raise ConfigError(f"tower ids must be unique, got {sorted(ids)}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.tower_processing_delay < 0:
-            raise ConfigError("tower_processing_delay must be non-negative")
+        # Written so that NaN fails every check.
+        if not 0.0 <= self.tower_processing_delay < math.inf:
+            raise ConfigError("tower_processing_delay must be non-negative and finite")
         if not 0.0 <= self.packet_loss <= 1.0:
             raise ConfigError(f"packet_loss must be in [0, 1], got {self.packet_loss}")
-        if self.request_time < 0:
-            raise ConfigError("request_time must be non-negative")
+        if not 0.0 <= self.request_time < math.inf:
+            raise ConfigError("request_time must be non-negative and finite")
 
 
 def run_scenario(

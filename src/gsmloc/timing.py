@@ -12,6 +12,7 @@ tables produced from single-leg intervals need ``one_way``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CalibrationError, NegativeIntervalError
@@ -28,8 +29,8 @@ class TimingModel:
     """How turn-around times map to distances.
 
     Attributes:
-        alpha: Constant internal delay in seconds, >= 0.
-        c: Propagation speed in m/s, > 0.
+        alpha: Constant internal delay in seconds, >= 0 and finite.
+        c: Propagation speed in m/s, > 0 and finite.
         mode: ROUND_TRIP (divide propagation by 2) or ONE_WAY.
         clock_resolution: Smallest representable time increment in seconds;
             0 means the clock is infinitely precise.
@@ -41,12 +42,15 @@ class TimingModel:
     clock_resolution: float = 0.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.clock_resolution < 0:
-            raise ValueError(f"clock_resolution must be non-negative, got {self.clock_resolution}")
+        # Written so that NaN fails every check.
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
+        if not 0 <= self.clock_resolution < math.inf:
+            raise ValueError(
+                f"clock_resolution must be non-negative and finite, got {self.clock_resolution}"
+            )
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 

@@ -2,15 +2,14 @@
 
 Each (tower, range) pair constrains the unknown position p to a sphere
 |p - T_i|^2 = r_i^2. Subtracting two spheres cancels the quadratic terms
-and leaves a plane; for three towers the cyclic pairs (1,2), (2,3), (3,1)
-give three planes whose coefficient rows sum to zero component-wise, so
-the 3x3 system always has rank <= 2 and can never be inverted directly.
-Geometrically the two independent planes intersect in a line perpendicular
-to the tower plane (the radical line), and the position is wherever that
-line meets the first sphere: a quadratic with at most two roots, mirror
-images across the tower plane. solve_position picks the root by a caller
-supplied z convention; with four or more towers the system becomes
-overdetermined and multilaterate_lsq resolves the ambiguity uniquely.
+and leaves a plane. Towers that are not coplanar give difference rows of
+rank 3 and a unique position. Coplanar towers give rank 2: always so for
+three towers, whose cyclic pairs (1,2), (2,3), (3,1) give rows that sum to
+zero component-wise, and for any number of towers on flat ground. Those
+rows fix only a line perpendicular to the tower plane (the radical line),
+which meets the first sphere in at most two points, mirror images across
+the tower plane; solve_position picks one by a caller supplied z
+convention. multilaterate_lsq is solve_position for four or more towers.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ class LocationFix:
         position: Estimated mobile coordinates.
         residuals: |distance(position, tower_i) - r_i| per input tower,
             in input order.
-        method: THREE_TOWER_QUADRATIC or LEAST_SQUARES.
-        z_branch: Which quadratic root was taken (NONNEGATIVE / NONPOSITIVE),
-            or UNIQUE for overdetermined solves.
+        method: THREE_TOWER_QUADRATIC for three towers, else LEAST_SQUARES.
+        z_branch: Which quadratic root was taken (NONNEGATIVE / NONPOSITIVE)
+            for coplanar towers, or UNIQUE otherwise.
         z_clamped: True when the quadratic discriminant was negative and the
             fix was forced onto the tower plane; inconsistency then shows up
             in the residuals.
@@ -173,85 +172,103 @@ def solve_position(
     ranges: list[float],
     z_convention: str = NONNEGATIVE,
 ) -> LocationFix:
-    """Recover a position from exactly three towers and one range each.
+    """Recover a position from three or more towers and one range each.
 
-    The two independent difference rows define the radical line, which runs
-    perpendicular to the tower plane; intersecting it with the first sphere
-    gives a quadratic whose roots are mirror images across that plane. The
-    z_convention selects the root at or above the plane (NONNEGATIVE) or at
-    or below it (NONPOSITIVE). A negative discriminant (inconsistent ranges,
-    e.g. from quantized timestamps) clamps the fix onto the tower plane and
-    sets z_clamped; the caller can judge severity from the residuals.
+    One least-squares solve runs over the difference rows: the cyclic pairs
+    (1,2), (2,3) for three towers, every tower against the first for more.
+    Rows of rank 3 give the position. Rows of rank 2 (coplanar towers) give
+    a point on the radical line, which runs along the tower-plane normal;
+    intersecting that line with the first sphere gives a quadratic whose
+    roots are mirror images across the tower plane. The z_convention selects
+    the root at or above the plane (NONNEGATIVE) or at or below it
+    (NONPOSITIVE). A negative discriminant (inconsistent ranges, e.g. from
+    quantized timestamps) clamps the fix onto the tower plane and sets
+    z_clamped; the caller can judge severity from the residuals.
 
     Raises:
-        DegenerateGeometryError: for collinear or coincident towers.
+        DegenerateGeometryError: for collinear or coincident towers, or
+            towers too close together for their ranges to give a finite fix.
     """
     if z_convention not in (NONNEGATIVE, NONPOSITIVE):
         raise ValueError(f"z_convention must be {NONNEGATIVE!r} or {NONPOSITIVE!r}")
+    if len(towers) < 3 or len(towers) != len(ranges):
+        raise ValueError(f"need 3 or more towers and as many ranges, got {len(towers)} and {len(ranges)}")
     if any(r < 0 for r in ranges):
         raise ValueError("ranges must be non-negative")
-    system = build_difference_system(towers, ranges)
-    positions = [_pos_array(t) for t in towers]
-    direction = _oriented_unit(_check_not_collinear(positions))
-
-    # Any point satisfying the first two difference rows sits on the radical
-    # line; the minimum-norm solution of the underdetermined 2x3 system is
-    # such a point (it has no component along the line direction).
-    point_on_line, *_ = np.linalg.lstsq(system.matrix[:2], system.rhs[:2], rcond=None)
-
-    # Intersect p(t) = point_on_line + t * direction with the first sphere:
-    # t^2 + 2 t (d.w) + (|w|^2 - r1^2) = 0 with w = point_on_line - T1.
-    w = point_on_line - positions[0]
-    half_b = float(direction @ w)
-    c0 = float(w @ w) - ranges[0] * ranges[0]
-    disc = half_b * half_b - c0
-
-    # The discriminant is a difference of squared lengths, so its rounding
-    # noise scales with those squares. Below the noise floor the two roots
-    # are indistinguishable: taking sqrt there would turn O(eps) noise into
-    # O(sqrt(eps)) error, so treat it as a double root on the tower plane.
-    noise_floor = 64.0 * np.finfo(float).eps * max(
-        1.0,
-        ranges[0] * ranges[0],
-        float(w @ w),
-        half_b * half_b,
-        float(positions[0] @ positions[0]),
-    )
-
-    clamped = False
-    if disc > noise_floor:
-        root = math.sqrt(disc)
-        t = -half_b + root if z_convention == NONNEGATIVE else -half_b - root
-    elif disc >= 0.0:
-        t = -half_b  # double root: the spheres meet exactly on the plane
+    origin = _pos_array(towers[0])
+    if len(towers) == 3:
+        rows = build_difference_system(towers, ranges).rows[:2]
+        normal = _check_not_collinear([_pos_array(t) for t in towers])
     else:
-        # No real intersection: take the closest point on the line, which
-        # lies exactly in the tower plane, and flag the clamp.
-        t = -half_b
-        clamped = True
+        rows = np.array([
+            _difference_row(towers[0].position, t.position, ranges[0], r)
+            for t, r in zip(towers[1:], ranges[1:])
+        ])
+    # A relative rank cut, so that rounding cannot lift coplanar towers to rank 3.
+    point, _, rank, _ = np.linalg.lstsq(rows[:, :3], rows[:, 3], rcond=_COLLINEARITY_REL_AREA)
+    if rank < 2:
+        raise DegenerateGeometryError(f"towers are collinear (difference rows span rank {rank})")
 
-    est = point_on_line + t * direction
+    est, z_branch, clamped = point, UNIQUE, False
+    if rank == 2:
+        if len(towers) > 3:
+            # The longest row crossed with the row most oblique to it: on flat
+            # ground the rows have z exactly 0, and this normal is exactly vertical.
+            coeffs = rows[:, :3]
+            crosses = np.cross(coeffs[np.argmax(np.linalg.norm(coeffs, axis=1))], coeffs)
+            normal = crosses[np.argmax(np.linalg.norm(crosses, axis=1))]
+        direction = _oriented_unit(normal)
+
+        # The minimum-norm point has no component along the radical line.
+        # Intersect p(t) = point + t * direction with the first sphere:
+        # t^2 + 2 t (d.w) + (|w|^2 - r1^2) = 0 with w = point - T1.
+        w = point - origin
+        half_b = float(direction @ w)
+        c0 = float(w @ w) - ranges[0] * ranges[0]
+        disc = half_b * half_b - c0
+
+        # The discriminant is a difference of squared lengths, so its rounding
+        # noise scales with those squares. Below the noise floor the two roots
+        # are indistinguishable: taking sqrt there would turn O(eps) noise into
+        # O(sqrt(eps)) error, so treat it as a double root on the tower plane.
+        noise_floor = 64.0 * np.finfo(float).eps * max(
+            1.0,
+            ranges[0] * ranges[0],
+            float(w @ w),
+            half_b * half_b,
+            float(origin @ origin),
+        )
+
+        if disc > noise_floor:
+            root = math.sqrt(disc)
+            t = -half_b + root if z_convention == NONNEGATIVE else -half_b - root
+        elif disc >= 0.0:
+            t = -half_b  # double root: the spheres meet exactly on the plane
+        else:
+            # No real intersection: take the closest point on the line, which
+            # lies exactly in the tower plane, and flag the clamp.
+            t = -half_b
+            clamped = True
+        est, z_branch = point + t * direction, z_convention
+
+    if not np.isfinite(est).all():
+        raise DegenerateGeometryError("the fix overflows: the towers are too close together for these ranges")
     position = Point3(float(est[0]), float(est[1]), float(est[2]))
     return LocationFix(
         position=position,
         residuals=tuple(residuals(position, towers, ranges)),
-        method=THREE_TOWER_QUADRATIC,
-        z_branch=z_convention,
+        method=THREE_TOWER_QUADRATIC if len(towers) == 3 else LEAST_SQUARES,
+        z_branch=z_branch,
         z_clamped=clamped,
     )
 
 
 def multilaterate_lsq(towers: list[TowerSite], ranges: list[float]) -> LocationFix:
-    """Least-squares position from four or more towers.
-
-    Differences every sphere against the first tower's, producing n-1 linear
-    rows; when those rows span rank 3 the solution is unique and the mirror
-    ambiguity of the 3-tower solve disappears.
+    """solve_position for four or more towers; coplanar ones take the root at or above their plane.
 
     Raises:
         InsufficientMeasurementsError: with fewer than 4 towers.
-        DegenerateGeometryError: when the difference rows span rank < 3
-            (e.g. all towers coplanar).
+        DegenerateGeometryError: for collinear towers.
     """
     if len(towers) != len(ranges):
         raise ValueError(f"got {len(towers)} towers but {len(ranges)} ranges")
@@ -259,23 +276,4 @@ def multilaterate_lsq(towers: list[TowerSite], ranges: list[float]) -> LocationF
         raise InsufficientMeasurementsError(
             f"least-squares multilateration needs >= 4 towers, got {len(towers)}"
         )
-    if any(r < 0 for r in ranges):
-        raise ValueError("ranges must be non-negative")
-    rows = [
-        _difference_row(towers[0].position, t.position, ranges[0], r)
-        for t, r in zip(towers[1:], ranges[1:])
-    ]
-    coeffs = np.array([row[:3] for row in rows], dtype=float)
-    rhs = np.array([row[3] for row in rows], dtype=float)
-    solution, _, rank, _ = np.linalg.lstsq(coeffs, rhs, rcond=None)
-    if rank < 3:
-        raise DegenerateGeometryError(
-            f"difference rows span rank {rank} < 3 (towers coplanar or worse)"
-        )
-    position = Point3(float(solution[0]), float(solution[1]), float(solution[2]))
-    return LocationFix(
-        position=position,
-        residuals=tuple(residuals(position, towers, ranges)),
-        method=LEAST_SQUARES,
-        z_branch=UNIQUE,
-    )
+    return solve_position(towers, ranges)

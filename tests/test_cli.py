@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsmloc.cli import main
 
@@ -73,6 +75,24 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", str(config), "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: turnaround ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"tower_processing_delay": float("nan")},
+            {"request_time": float("inf")},
+            {"timing": {"c": float("nan")}},
+            {"timing": {"clock_resolution": float("inf")}},
+        ],
+        ids=["delay-nan", "request-time-inf", "c-nan", "clock-inf"],
+    )
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, override):
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        config = write_config(tmp_path / "scenario.json", dict(HEX_CONFIG, **override))
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path):
@@ -196,6 +216,82 @@ class TestLocate:
         assert main(["locate", str(rows), "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_tilted_coplanar_towers_solve(self, tmp_path, capsys):
+        # Four towers on a tilted plane, which least squares over all rows
+        # used to judge rank 3, fixing a point 155 m off tower 3's sphere.
+        rows = tmp_path / "rows.txt"
+        rows.write_text(
+            "0 113.7322098189112 492.0066662056868 -831.3746610014272 195.51953520789013\n"
+            "1 312.01507700487855 498.60417867710413 -822.0211493123784 298.7104318058191\n"
+            "2 74.67840144748376 372.7385333141496 -832.1118946344205 309.33900771213854\n"
+            "3 75.07482422159755 674.0331170775182 -834.9153534683003 47.57484813568919\n"
+        )
+        assert main(["locate", str(rows), "-o", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "z_branch nonnegative" in out
+        residuals = [float(line.split()[-1]) for line in out.splitlines() if "residual" in line]
+        assert len(residuals) == 4 and max(residuals) <= 1e-6
+
+    @pytest.mark.parametrize("convention, z", [("nonnegative", "5.000000000"), ("nonpositive", "-5.000000000")])
+    def test_four_flat_towers_take_the_convention(self, tmp_path, capsys, convention, z):
+        rows = tmp_path / "rows.txt"
+        rows.write_text(
+            "0 0 0 0 7.0710678118654755\n"
+            "1 10 0 0 9.486832980505138\n"
+            "2 0 10 0 8.366600265340756\n"
+            "3 10 10 0 10.488088481701515\n"
+        )
+        argv = ["locate", str(rows), "--z-convention", convention, "-o", str(tmp_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"position 3.000000000 4.000000000 {z}\n" in out
+        assert f"method least-squares\nz_branch {convention}\n" in out
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_collinear_four_or_more_exit_3(self, tmp_path, capsys, n):
+        rows = tmp_path / "rows.txt"
+        rows.write_text("".join(f"{i} {3 * i} {-2 * i} {i} 4\n" for i in range(n)))
+        assert main(["locate", str(rows), "-o", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: degenerate geometry: ")
+
+    @pytest.mark.parametrize("fourth", ["", "3 0 0 1e200 1\n"])
+    def test_huge_numbers_exit_2(self, tmp_path, capsys, fourth):
+        rows = tmp_path / "rows.txt"
+        rows.write_text("0 1e200 0 0 1\n1 0 1e200 0 1\n2 0 0 0 1e200\n" + fourth)
+        out = tmp_path / "out"
+        assert main(["locate", str(rows), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_overflowing_fix_exit_3(self, tmp_path, capsys):
+        # towers 1e-300 m apart cannot separate ranges that differ by 1e75 m
+        rows = tmp_path / "rows.txt"
+        rows.write_text("0 0 0 0 1e75\n1 1e-300 0 0 1\n2 0 1e-300 0 1\n3 0 0 1e-300 1\n")
+        assert main(["locate", str(rows), "-o", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: degenerate geometry: ")
+
+    @given(
+        st.integers(0, 308),
+        st.lists(
+            st.tuples(*[st.tuples(st.floats(-9.99, 9.99), st.floats(0.0, 1.0))] * 4),
+            min_size=3,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_magnitude_exits_cleanly(self, tmp_path_factory, top, draws):
+        # Every number is m * 10**e with |m| < 10 and e spread over [0, top].
+        lines = []
+        for i, row in enumerate(draws):
+            x, y, z, r = (m * 10.0 ** round(share * top) for m, share in row)
+            lines.append(f"{i} {x!r} {y!r} {z!r} {abs(r)!r}\n")
+        tmp = tmp_path_factory.mktemp("locate")
+        rows = tmp / "rows.txt"
+        rows.write_text("".join(lines))
+        code = main(["locate", str(rows), "-o", str(tmp / "out")])
+        assert code in (0, 2, 3)
+        assert (tmp / "out").exists() == (code == 0)
 
     def test_inconsistent_ranges_still_exit_0(self, tmp_path, capsys):
         rows = tmp_path / "rows.txt"

@@ -236,16 +236,25 @@ class TestMultilaterate:
         est = np.array(fix.position.as_tuple())
         assert np.linalg.norm(est - [1, 2, 3]) < 1e-9
 
-    def test_coplanar_towers_rejected(self):
+    def test_coplanar_towers_solve(self):
         flat = [
             TowerSite(0, Point3(0, 0, 0)),
             TowerSite(1, Point3(10, 0, 0)),
             TowerSite(2, Point3(0, 10, 0)),
             TowerSite(3, Point3(10, 10, 0)),
         ]
-        true_point = Point3(3, 4, 5)
+        ranges = ranges_from(Point3(3, 4, 5), flat)
+        up = multilaterate_lsq(flat, ranges)
+        down = solve_position(flat, ranges, NONPOSITIVE)
+        assert up.position.as_tuple() == pytest.approx((3.0, 4.0, 5.0), abs=1e-9)
+        assert down.position.as_tuple() == pytest.approx((3.0, 4.0, -5.0), abs=1e-9)
+        assert (up.method, up.z_branch) == (LEAST_SQUARES, NONNEGATIVE)
+        assert (down.method, down.z_branch) == (LEAST_SQUARES, NONPOSITIVE)
+
+    def test_collinear_towers_rejected(self):
+        line = [TowerSite(i, Point3(5.0 * i, 2.0 * i, -1.0 * i)) for i in range(5)]
         with pytest.raises(DegenerateGeometryError):
-            multilaterate_lsq(flat, ranges_from(true_point, flat))
+            multilaterate_lsq(line, [1.0] * 5)
 
     def test_needs_four_towers(self):
         with pytest.raises(InsufficientMeasurementsError):
@@ -352,3 +361,46 @@ class TestAgainstOracle:
         ranges = clock_ranges(mobile, towers, resolution)
         want = outcome(oracle.multilaterate_lsq, towers, ranges)
         assert outcome(multilaterate_lsq, towers, ranges) == want
+        convention = NONNEGATIVE if seed % 2 else NONPOSITIVE
+        assert outcome(solve_position, towers, ranges, convention) == want
+
+
+def plane_basis(rng):
+    """A unit normal with the solver's sign (first nonzero of z, x, y positive) and two in-plane axes.
+
+    Either a plane tilted up to 80 degrees from flat, or one of the planes
+    x = c, y = c, z = c, whose axes then have exact zeros.
+    """
+    axis = rng.integers(4)
+    if axis < 3:
+        normal = np.zeros(3)
+        normal[axis] = 1.0
+    else:
+        tilt, azimuth = rng.uniform(0.0, math.radians(80.0)), rng.uniform(0.0, 2.0 * math.pi)
+        normal = np.array([math.sin(tilt) * math.cos(azimuth), math.sin(tilt) * math.sin(azimuth), math.cos(tilt)])
+    u = np.cross(normal, [0.0, 0.0, 1.0] if axis < 2 else [1.0, 0.0, 0.0])
+    u /= np.linalg.norm(u)
+    return normal, u, np.cross(normal, u)
+
+
+class TestCoplanarTowers:
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(4, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_on_any_plane(self, seed, n):
+        rng = np.random.default_rng(seed)
+        normal, u, v = plane_basis(rng)
+        origin = rng.uniform(-500, 500, size=3)
+        while True:  # spread the towers over the plane, far from a line
+            planar = rng.uniform(-500, 500, size=(n, 2))
+            singular = np.linalg.svd(planar - planar.mean(axis=0), compute_uv=False)
+            if singular[1] > 0.1 * singular[0]:
+                break
+        pts = origin + planar[:, :1] * u + planar[:, 1:] * v  # exact on the axis planes
+        side = 1.0 if seed % 2 else -1.0
+        truth = origin + rng.uniform(-300, 300) * u + rng.uniform(-300, 300) * v
+        truth = truth + side * rng.uniform(1.0, 300.0) * normal
+        towers = [TowerSite(i, Point3(*p)) for i, p in enumerate(pts)]
+        fix = solve_position(towers, ranges_from(Point3(*truth), towers), NONNEGATIVE if side > 0 else NONPOSITIVE)
+        scale = max(1.0, float(np.abs(pts).max()), float(np.linalg.norm(truth)))
+        assert np.linalg.norm(np.array(fix.position.as_tuple()) - truth) <= 1e-9 * scale
+        assert fix.method == LEAST_SQUARES
