@@ -187,7 +187,7 @@ def solve_position(
 
     Raises:
         DegenerateGeometryError: for collinear or coincident towers, or
-            towers too close together for their ranges to give a finite fix.
+            towers and ranges for which the fix overflows.
     """
     if z_convention not in (NONNEGATIVE, NONPOSITIVE):
         raise ValueError(f"z_convention must be {NONNEGATIVE!r} or {NONPOSITIVE!r}")
@@ -252,7 +252,7 @@ def solve_position(
         est, z_branch = point + t * direction, z_convention
 
     if not np.isfinite(est).all():
-        raise DegenerateGeometryError("the fix overflows: the towers are too close together for these ranges")
+        raise DegenerateGeometryError("the fix overflows for these towers and ranges")
     position = Point3(float(est[0]), float(est[1]), float(est[2]))
     return LocationFix(
         position=position,
