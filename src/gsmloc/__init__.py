@@ -6,8 +6,9 @@ Submodules:
     timing:         turn-around-time to distance conversion, constant-delay
                     calibration, clock quantization, and the timestamp
                     precision feasibility bound.
-    trilateration:  sphere-difference systems, the 3-tower quadratic solve,
-                    and least-squares multilateration.
+    trilateration:  sphere-difference systems and one position solver for
+                    three or more towers (least squares, plus the quadratic
+                    along the tower-plane normal for coplanar towers).
     simulator:      deterministic execution of the request/acknowledge
                     ranging protocol from closed-form arrival times.
     ingest:         ping-trace parsing, request/reply pairing, baseline

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gsmloc.errors import DegenerateGeometryError, GsmlocError, InsufficientMeasurementsError
 from gsmloc.geometry import Point3, TowerSite, distance
+from gsmloc.timing import SPEED_OF_LIGHT
 from gsmloc.trilateration import (
     LEAST_SQUARES,
     NONNEGATIVE,
@@ -287,15 +288,12 @@ class TestRangeMeasurement:
             RangeMeasurement(RIGHT_TRIANGLE[0], 1e-6, -1.0)
 
 
-SPEED = 3.0e8  # m/s, the timing model's default
-
-
 def clock_ranges(mobile: Point3, towers, resolution: float) -> list[float]:
     """Ranges through a truncating round-trip clock (exact when resolution is 0)."""
     ranges = ranges_from(mobile, towers)
     if resolution == 0.0:
         return ranges
-    return [math.floor(2.0 * r / SPEED / resolution) * resolution * SPEED / 2.0 for r in ranges]
+    return [math.floor(2.0 * r / SPEED_OF_LIGHT / resolution) * resolution * SPEED_OF_LIGHT / 2.0 for r in ranges]
 
 
 def outcome(solver, *args):
