@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,33 @@ def manifest_without_timestamp(path):
     record = json.loads(path.read_text())
     record.pop("created_utc")
     return record
+
+
+# name: (command-line arguments with inputs under tests/data, exit code)
+RUN_GOLDENS = {
+    "simulate_lossless": (["simulate", "simulate_lossless.json"], 0),
+    "locate_worked_example": (["locate", "locate_worked_example.txt"], 0),
+    "analyze_log_pairing_capture": (["analyze-log", "pairing_capture.log", "--baseline", "0.0007"], 0),
+    "feasibility_microsecond_clock": (["feasibility", "--range", "175", "--clock", "1e-6"], 1),
+    "feasibility_tenth_microsecond_clock": (["feasibility", "--range", "175", "--clock", "1e-7"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_GOLDENS))
+def test_run_matches_goldens(tmp_path, golden_dir, capsys, name):
+    # The manifest is compared as text, so key order and layout are pinned;
+    # only its created_utc entry is cut out.
+    args, code = RUN_GOLDENS[name]
+    data = golden_dir.parent
+    argv = [str(data / a) if (data / a).is_file() else a for a in args]
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == code
+    expected = golden_dir / "runs" / name
+    assert capsys.readouterr().out == (expected / "stdout.txt").read_text()
+    manifest = (out / f"{args[0].replace('-', '_')}_manifest.json").read_text()
+    manifest, count = re.subn(r',\n  "created_utc": "\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"', "", manifest)
+    assert count == 1
+    assert manifest == (expected / "manifest.json").read_text()
 
 
 class TestSimulate:
