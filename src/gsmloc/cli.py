@@ -1,11 +1,12 @@
 """Command-line entry point: simulate, locate, analyze-log, feasibility.
 
-Every command writes a run manifest (JSON) into --out-dir recording the
-command, the sha256 digest of its effective input, the seed where one
-applies, and the output file names. Reruns with identical inputs produce
-identical manifests except for the created_utc field, which is excluded
-from the digest. No command writes partial output files on failure: all
-content is rendered in memory first and written only on success.
+Each command returns a Run and writes nothing; main alone writes it. main
+writes the output files and a run manifest (JSON) into --out-dir, the
+manifest recording the command, the sha256 digest of the effective input,
+the seed where one applies and the output file names, and only then prints
+the command's stdout. Reruns with identical inputs produce identical
+manifests except for the created_utc field, which is excluded from the
+digest. A failed command writes no file and prints nothing on stdout.
 
 Commands raise on failure; main maps each error type to its exit code and
 prints one "error: ..." line on stderr.
@@ -15,6 +16,7 @@ Exit codes:
     1  feasibility: the clock cannot resolve the requested range (a
        verdict, never an error)
     2  invalid input (unreadable file, malformed config, bad parameters)
+       or an output directory that cannot be written
     3  degenerate tower geometry
     4  no usable data (zero valid RTT pairs, or too few acknowledgments)
 """
@@ -82,38 +84,21 @@ ERROR_EXITS = (
 
 
 @dataclass(frozen=True)
-class RunManifest:
-    command: str
-    version: str
-    config_digest: str
-    seed: int | None
-    outputs: tuple[str, ...]
+class Run:
+    """A command's result: main digests digest_payload into the manifest,
+    writes files (name to content), then prints stdout and returns code."""
 
-    def to_json(self) -> str:
-        record = {
-            "command": self.command,
-            "version": self.version,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "outputs": list(self.outputs),
-            "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        }
-        return json.dumps(record, indent=2) + "\n"
+    digest_payload: object
+    files: dict[str, str]
+    stdout: str
+    seed: int | None = None
+    code: int = EXIT_OK
 
 
 def config_digest(payload) -> str:
     """sha256 over the canonical JSON form; stable under key order and whitespace."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _write_outputs(out_dir: Path, files: dict[str, str], manifest: RunManifest) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        (out_dir / name).write_text(content)
-    (out_dir / f"{manifest.command.replace('-', '_')}_manifest.json").write_text(
-        manifest.to_json()
-    )
 
 
 def _read_input(path: Path) -> str:
@@ -123,8 +108,8 @@ def _read_input(path: Path) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def load_scenario_config(path: Path) -> tuple[ScenarioConfig, str]:
-    """Parse a scenario config file (JSON) into a ScenarioConfig plus digest.
+def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
+    """Parse a scenario config file (JSON) into a ScenarioConfig plus the raw payload.
 
     Towers come either from an explicit site list or from hex layout
     parameters:
@@ -138,7 +123,6 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    digest = config_digest(raw)
     try:
         towers_spec = raw["towers"]
         if "hex" in towers_spec:
@@ -181,7 +165,7 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, str]:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config {path} is malformed: {exc}") from exc
-    return config, digest
+    return config, raw
 
 
 def _fix_report(fix: LocationFix, tower_ids: list[int]) -> str:
@@ -197,8 +181,8 @@ def _fix_report(fix: LocationFix, tower_ids: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(args) -> int:
-    config, digest = load_scenario_config(args.config)
+def cmd_simulate(args) -> Run:
+    config, raw = load_scenario_config(args.config)
     if config.trials > 1:
         raise ConfigError(f"simulate runs one trial; trials must be 1, got {config.trials}")
     trace, measurements, fix = run_scenario(config)
@@ -210,17 +194,9 @@ def cmd_simulate(args) -> int:
         "measurements.csv": measurement_csv(all_measurements, config.mobile_true_position),
         "fix.txt": _fix_report(fix, [m.tower.id for m in measurements]),
     }
-    manifest = RunManifest(
-        command="simulate",
-        version=__version__,
-        config_digest=digest,
-        seed=config.rng_seed,
-        outputs=tuple(files),
-    )
-    _write_outputs(args.out_dir, files, manifest)
     p = fix.position
-    print(f"fix {p.x:.6f} {p.y:.6f} {p.z:.6f} (method {fix.method})")
-    return EXIT_OK
+    stdout = f"fix {p.x:.6f} {p.y:.6f} {p.z:.6f} (method {fix.method})\n"
+    return Run(raw, files, stdout, seed=config.rng_seed)
 
 
 # Largest coordinate or range magnitude locate accepts, in meters. The solver
@@ -262,7 +238,7 @@ def _load_locate_rows(path: Path) -> list[tuple[int, float, float, float, float]
     return rows
 
 
-def cmd_locate(args) -> int:
+def cmd_locate(args) -> Run:
     rows = _load_locate_rows(args.input)
     if len(rows) < 3:
         raise ConfigError(f"need at least 3 tower/range rows, got {len(rows)}")
@@ -270,20 +246,11 @@ def cmd_locate(args) -> int:
     towers = [TowerSite(row[0], Point3(row[1], row[2], row[3])) for row in rows]
     fix = solve_position(towers, [row[4] for row in rows], args.z_convention)
 
-    report = _fix_report(fix, [t.id for t in towers])
-    print(report, end="")
-    manifest = RunManifest(
-        command="locate",
-        version=__version__,
-        config_digest=config_digest({"rows": [list(r) for r in rows], "z_convention": args.z_convention}),
-        seed=None,
-        outputs=(),
-    )
-    _write_outputs(args.out_dir, {}, manifest)
-    return EXIT_OK
+    digest_payload = {"rows": [list(r) for r in rows], "z_convention": args.z_convention}
+    return Run(digest_payload, {}, _fix_report(fix, [t.id for t in towers]))
 
 
-def cmd_analyze_log(args) -> int:
+def cmd_analyze_log(args) -> Run:
     if args.baseline is not None:
         try:
             check_kernel_delay(args.baseline)
@@ -296,10 +263,9 @@ def cmd_analyze_log(args) -> int:
     if not any(s.valid for s in samples):
         raise EmptyDataError("no valid request/reply pairs in log")
 
-    stats = rtt_stats(samples)
     files = {
         "rtt.csv": rtt_csv(samples),
-        "stats.txt": stats_summary(stats),
+        "stats.txt": stats_summary(rtt_stats(samples)),
         "discrepancies.txt": discrepancy_report(samples, warnings),
     }
     if args.baseline is not None:
@@ -314,19 +280,10 @@ def cmd_analyze_log(args) -> int:
         "log_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "baseline": args.baseline,
     }
-    manifest = RunManifest(
-        command="analyze-log",
-        version=__version__,
-        config_digest=config_digest(digest_payload),
-        seed=None,
-        outputs=tuple(files),
-    )
-    _write_outputs(args.out_dir, files, manifest)
-    print(stats_summary(stats), end="")
-    return EXIT_OK
+    return Run(digest_payload, files, files["stats.txt"])
 
 
-def cmd_feasibility(args) -> int:
+def cmd_feasibility(args) -> Run:
     checks = (
         ("--range", args.range_m, "positive"),
         ("--clock", args.clock, "non-negative"),
@@ -339,21 +296,13 @@ def cmd_feasibility(args) -> int:
             raise ConfigError(f"{flag} must be {sign}, got {value}")
     report = required_precision(args.range_m, c=args.c, available=args.clock)
     verdict = "feasible" if report.feasible else "NOT feasible"
-    print(
+    return Run(
+        {"range_m": args.range_m, "clock": args.clock, "c": args.c},
+        {},
         f"range {report.range_m:g} m: required precision {report.required_precision:.4g} s,"
-        f" available {report.available_precision:.4g} s -> {verdict}"
+        f" available {report.available_precision:.4g} s -> {verdict}\n",
+        code=EXIT_OK if report.feasible else EXIT_INFEASIBLE,
     )
-    manifest = RunManifest(
-        command="feasibility",
-        version=__version__,
-        config_digest=config_digest(
-            {"range_m": args.range_m, "clock": args.clock, "c": args.c}
-        ),
-        seed=None,
-        outputs=(),
-    )
-    _write_outputs(args.out_dir, {}, manifest)
-    return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,11 +352,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        run = args.func(args)
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "config_digest": config_digest(run.digest_payload),
+            "seed": run.seed,
+            "outputs": list(run.files),
+            "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        }
+        files = {
+            **run.files,
+            f"{args.command.replace('-', '_')}_manifest.json": json.dumps(manifest, indent=2) + "\n",
+        }
+        try:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                (args.out_dir / name).write_text(content)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out_dir}: {exc}") from exc
     except GsmlocError as exc:
         code, prefix = next((c, p) for kind, c, p in ERROR_EXITS if isinstance(exc, kind))
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
+    print(run.stdout, end="")
+    return run.code
 
 
 def entrypoint() -> None:

@@ -36,21 +36,39 @@ RUN_GOLDENS = {
 }
 
 
+def golden_run_argv(golden_dir, name, out):
+    data = golden_dir.parent
+    args = [str(data / a) if (data / a).is_file() else a for a in RUN_GOLDENS[name][0]]
+    return [*args, "-o", str(out)]
+
+
 @pytest.mark.parametrize("name", sorted(RUN_GOLDENS))
 def test_run_matches_goldens(tmp_path, golden_dir, capsys, name):
     # The manifest is compared as text, so key order and layout are pinned;
     # only its created_utc entry is cut out.
     args, code = RUN_GOLDENS[name]
-    data = golden_dir.parent
-    argv = [str(data / a) if (data / a).is_file() else a for a in args]
     out = tmp_path / "out"
-    assert main([*argv, "-o", str(out)]) == code
+    assert main(golden_run_argv(golden_dir, name, out)) == code
     expected = golden_dir / "runs" / name
     assert capsys.readouterr().out == (expected / "stdout.txt").read_text()
     manifest = (out / f"{args[0].replace('-', '_')}_manifest.json").read_text()
     manifest, count = re.subn(r',\n  "created_utc": "\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"', "", manifest)
     assert count == 1
     assert manifest == (expected / "manifest.json").read_text()
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("name", sorted(RUN_GOLDENS))
+def test_unwritable_out_dir_exit_2(tmp_path, golden_dir, capsys, name, under_file):
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep\n")
+    out = blocker / "out" if under_file else blocker
+    assert main(golden_run_argv(golden_dir, name, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
+    assert blocker.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 class TestSimulate:
