@@ -59,7 +59,7 @@ from .simulator import (
     measurement_csv,
     run_scenario,
 )
-from .timing import SPEED_OF_LIGHT, TimingModel, required_precision
+from .timing import ROUND_TRIP, SPEED_OF_LIGHT, TimingModel, required_precision
 from .trilateration import (
     NONNEGATIVE,
     NONPOSITIVE,
@@ -108,6 +108,20 @@ def _read_input(path: Path) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
+# Largest coordinate or range magnitude locate and simulate accept, in meters.
+# The solver takes fourth powers of these (the squared length of the
+# tower-plane normal), which overflow the largest double, about 1.8e308, above
+# about 1.5e76.
+_MAX_MAGNITUDE = 1e75
+
+
+def _check_magnitude(values, shown: str) -> None:
+    if not all(abs(v) <= _MAX_MAGNITUDE for v in values):
+        raise ConfigError(
+            f"numbers must be finite and at most {_MAX_MAGNITUDE:g} in absolute value, got {shown}"
+        )
+
+
 def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
     """Parse a scenario config file (JSON) into a ScenarioConfig plus the raw payload.
 
@@ -116,6 +130,9 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
 
         {"towers": {"sites": [{"id": 0, "position": [0, 0, 0]}, ...]}, ...}
         {"towers": {"hex": {"center": [0, 0, 0], "radius": 3000, "rings": 1}}, ...}
+
+    Every tower position and the mobile must be within _MAX_MAGNITUDE, and
+    the timing mode must be round_trip: the simulator measures round trips.
     """
     try:
         raw = json.loads(path.read_text())
@@ -144,16 +161,23 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
             )
         else:
             raise ConfigError("towers section needs either 'hex' or 'sites'")
+        mobile = Point3(*raw["mobile"])
+        for point in [t.position for t in towers] + [mobile]:
+            _check_magnitude(point.as_tuple(), f"position {list(point.as_tuple())}")
         timing_raw = raw.get("timing", {})
+        mode = timing_raw.get("mode", ROUND_TRIP)
+        if mode != ROUND_TRIP:
+            raise ConfigError(
+                f"simulate measures round trips; timing mode must be {ROUND_TRIP!r}, got {mode!r}"
+            )
         timing = TimingModel(
             alpha=float(timing_raw.get("alpha", 0.0)),
             c=float(timing_raw.get("c", SPEED_OF_LIGHT)),
-            mode=timing_raw.get("mode", "round_trip"),
             clock_resolution=float(timing_raw.get("clock_resolution", 0.0)),
         )
         config = ScenarioConfig(
             towers=towers,
-            mobile_true_position=Point3(*raw["mobile"]),
+            mobile_true_position=mobile,
             timing=timing,
             tower_processing_delay=float(raw.get("tower_processing_delay", 0.0)),
             rng_seed=int(raw.get("seed", 0)),
@@ -163,7 +187,7 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config {path} is malformed: {exc}") from exc
     return config, raw
 
@@ -199,17 +223,11 @@ def cmd_simulate(args) -> Run:
     return Run(raw, files, stdout, seed=config.rng_seed)
 
 
-# Largest coordinate or range magnitude locate accepts, in meters. The solver
-# takes fourth powers of these (the squared length of the tower-plane normal),
-# which overflow the largest double, about 1.8e308, above about 1.5e76.
-_MAX_LOCATE_MAGNITUDE = 1e75
-
-
 def _load_locate_rows(path: Path) -> list[tuple[int, float, float, float, float]]:
     """Rows of 'id x y z range' (or 'x y z range', numbered in file order).
 
     Raises ConfigError for a malformed row, a number that is not finite or
-    exceeds _MAX_LOCATE_MAGNITUDE in magnitude, a negative range or id, or a
+    exceeds _MAX_MAGNITUDE in magnitude, a negative range or id, or a
     repeated id.
     """
     rows, seen = [], set()
@@ -225,10 +243,7 @@ def _load_locate_rows(path: Path) -> list[tuple[int, float, float, float, float]
             x, y, z, r = (float(v) for v in tokens[-4:])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not all(abs(v) <= _MAX_LOCATE_MAGNITUDE for v in (x, y, z, r)):
-            raise ConfigError(
-                f"numbers must be finite and at most {_MAX_LOCATE_MAGNITUDE:g} in absolute value, got {stripped!r}"
-            )
+        _check_magnitude((x, y, z, r), repr(stripped))
         if r < 0 or tower_id < 0:
             raise ConfigError(f"range and tower id must be non-negative, got {stripped!r}")
         if tower_id in seen:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CalibrationError, NegativeIntervalError
+from .errors import CalibrationError, ConfigError, NegativeIntervalError
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, propagation speed used throughout
 
@@ -110,12 +110,19 @@ def quantize(t: float, resolution: float) -> float:
     Models kernel timestamping, which floors rather than rounds. Resolution
     0 returns t unchanged. Idempotent: quantize(quantize(t, r), r) equals
     quantize(t, r) bit for bit.
+
+    Raises:
+        ConfigError: if t is too many ticks of the resolution to count in a
+            double.
     """
     if resolution < 0:
         raise ValueError(f"resolution must be non-negative, got {resolution}")
     if resolution == 0:
         return t
-    ticks = int(t // resolution)
+    ticks = t // resolution
+    if not math.isfinite(ticks):
+        raise ConfigError(f"a clock of resolution {resolution:g} s cannot count to {t:g} s")
+    ticks = int(ticks)
     # Float division may land one tick low when t is already on the grid;
     # push back up so grid points map to themselves.
     if (ticks + 1) * resolution <= t:

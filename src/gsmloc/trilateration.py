@@ -35,6 +35,8 @@ LEAST_SQUARES = "least-squares"
 # side) are treated as collinear.
 _COLLINEARITY_REL_AREA = 1e-9
 
+_FIX_OVERFLOWS = "the fix overflows for these towers and ranges"
+
 
 @dataclass(frozen=True)
 class RangeMeasurement:
@@ -167,6 +169,49 @@ def _oriented_unit(normal: np.ndarray) -> np.ndarray:
     return unit
 
 
+@np.errstate(over="raise")
+def _root_along_normal(
+    point: np.ndarray, direction: np.ndarray, origin: np.ndarray, r1: float, z_convention: str
+) -> tuple[np.ndarray, bool]:
+    """The fix on the line point + t * direction, and whether it was clamped.
+
+    Raises FloatingPointError where the squared lengths overflow, rather
+    than warn and return a fix computed from infinities.
+    """
+    # The minimum-norm point has no component along the radical line.
+    # Intersect p(t) = point + t * direction with the first sphere:
+    # t^2 + 2 t (d.w) + (|w|^2 - r1^2) = 0 with w = point - T1.
+    w = point - origin
+    half_b = float(direction @ w)
+    c0 = float(w @ w) - r1 * r1
+    disc = half_b * half_b - c0
+
+    # The discriminant is a difference of squared lengths, so its rounding
+    # noise scales with those squares. Below the noise floor the two roots
+    # are indistinguishable: taking sqrt there would turn O(eps) noise into
+    # O(sqrt(eps)) error, so treat it as a double root on the tower plane.
+    noise_floor = 64.0 * np.finfo(float).eps * max(
+        1.0,
+        r1 * r1,
+        float(w @ w),
+        half_b * half_b,
+        float(origin @ origin),
+    )
+
+    clamped = False
+    if disc > noise_floor:
+        root = math.sqrt(disc)
+        t = -half_b + root if z_convention == NONNEGATIVE else -half_b - root
+    elif disc >= 0.0:
+        t = -half_b  # double root: the spheres meet exactly on the plane
+    else:
+        # No real intersection: take the closest point on the line, which
+        # lies exactly in the tower plane, and flag the clamp.
+        t = -half_b
+        clamped = True
+    return point + t * direction, clamped
+
+
 def solve_position(
     towers: list[TowerSite],
     ranges: list[float],
@@ -219,40 +264,14 @@ def solve_position(
             normal = crosses[np.argmax(np.linalg.norm(crosses, axis=1))]
         direction = _oriented_unit(normal)
 
-        # The minimum-norm point has no component along the radical line.
-        # Intersect p(t) = point + t * direction with the first sphere:
-        # t^2 + 2 t (d.w) + (|w|^2 - r1^2) = 0 with w = point - T1.
-        w = point - origin
-        half_b = float(direction @ w)
-        c0 = float(w @ w) - ranges[0] * ranges[0]
-        disc = half_b * half_b - c0
-
-        # The discriminant is a difference of squared lengths, so its rounding
-        # noise scales with those squares. Below the noise floor the two roots
-        # are indistinguishable: taking sqrt there would turn O(eps) noise into
-        # O(sqrt(eps)) error, so treat it as a double root on the tower plane.
-        noise_floor = 64.0 * np.finfo(float).eps * max(
-            1.0,
-            ranges[0] * ranges[0],
-            float(w @ w),
-            half_b * half_b,
-            float(origin @ origin),
-        )
-
-        if disc > noise_floor:
-            root = math.sqrt(disc)
-            t = -half_b + root if z_convention == NONNEGATIVE else -half_b - root
-        elif disc >= 0.0:
-            t = -half_b  # double root: the spheres meet exactly on the plane
-        else:
-            # No real intersection: take the closest point on the line, which
-            # lies exactly in the tower plane, and flag the clamp.
-            t = -half_b
-            clamped = True
-        est, z_branch = point + t * direction, z_convention
+        try:
+            est, clamped = _root_along_normal(point, direction, origin, ranges[0], z_convention)
+        except FloatingPointError:
+            raise DegenerateGeometryError(_FIX_OVERFLOWS) from None
+        z_branch = z_convention
 
     if not np.isfinite(est).all():
-        raise DegenerateGeometryError("the fix overflows for these towers and ranges")
+        raise DegenerateGeometryError(_FIX_OVERFLOWS)
     position = Point3(float(est[0]), float(est[1]), float(est[2]))
     return LocationFix(
         position=position,

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +143,27 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", str(config), "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"towers": {"sites": [{"position": [1e200, 0, 0]}, {"position": [0, 1e200, 0]}, {"position": [0, 0, 0]}]}},
+            {"towers": {"hex": {"center": [0, 0, 0], "radius": 1e200}}},
+            {"mobile": [0, 0, -1e200]},
+            {"timing": dict(HEX_CONFIG["timing"], mode="one_way")},
+            {"timing": dict(HEX_CONFIG["timing"], clock_resolution=1e-9), "request_time": 1e300},
+            {"timing": []},
+        ],
+        ids=["huge-sites", "huge-hex", "huge-mobile", "one-way", "clock-overflows", "timing-list"],
+    )
+    def test_unrunnable_config_exit_2(self, tmp_path, capsys, override):
+        config = write_config(tmp_path / "scenario.json", dict(HEX_CONFIG, **override))
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
         assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path):
@@ -316,6 +341,25 @@ class TestLocate:
         rows.write_text("0 0 0 0 1e75\n1 1e-300 0 0 1\n2 0 1e-300 0 1\n3 0 0 1e-300 1\n")
         assert main(["locate", str(rows), "-o", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("error: degenerate geometry: ")
+
+    def test_overflowing_coplanar_fix_exit_3(self, tmp_path):
+        # Towers 1e-80 m apart put the fix about 1e230 m out, where its squared
+        # lengths overflow. Run as a process, so that a numpy warning would
+        # reach stderr.
+        rows = tmp_path / "rows.txt"
+        rows.write_text("0 0 0 0 1e75\n1 1e-80 0 0 1\n2 0 1e-80 0 1\n3 1e-80 1e-80 0 1\n")
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "gsmloc.cli", "locate", str(rows), "-o", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 3
+        assert result.stderr == "error: degenerate geometry: the fix overflows for these towers and ranges\n"
+        assert result.stdout == ""
+        assert not out.exists()
 
     @given(
         st.integers(0, 308),
