@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parsing_oracle import parse_ping_log as oracle_parse_ping_log
 
+from gsmloc import cli
 from gsmloc.cli import main
+from gsmloc.ingest import MISSING_REPLY, NEGATIVE
 
 HEX_CONFIG = {
     "towers": {"hex": {"center": [0, 0, 0], "radius": 500.0, "rings": 1}},
@@ -35,6 +38,7 @@ RUN_GOLDENS = {
     "simulate_lossless": (["simulate", "simulate_lossless.json"], 0),
     "locate_worked_example": (["locate", "locate_worked_example.txt"], 0),
     "analyze_log_pairing_capture": (["analyze-log", "pairing_capture.log", "--baseline", "0.0007"], 0),
+    "analyze_log_odd_lines_capture": (["analyze-log", "odd_lines_capture.log", "--baseline", "0.0007"], 0),
     "feasibility_microsecond_clock": (["feasibility", "--range", "175", "--clock", "1e-6"], 1),
     "feasibility_tenth_microsecond_clock": (["feasibility", "--range", "175", "--clock", "1e-7"], 0),
 }
@@ -469,6 +473,47 @@ class TestAnalyzeLog:
         ]
         for path in expected:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_odd_lines_capture_matches_goldens(self, tmp_path, golden_dir):
+        # Lines off the well-formed shape: Unicode digits, signs and
+        # underscores in seq and time, upper-case directions, extra and
+        # missing fields, 0 or 7 fraction digits, blank lines, and \r\n,
+        # \x0b, \x0c, \x1c, \x85, \u2028 and \u2029 line separators that
+        # number the malformed-line warnings.
+        log = golden_dir.parent / "odd_lines_capture.log"
+        out = tmp_path / "out"
+        assert main(["analyze-log", str(log), "--baseline", "0.0007", "-o", str(out)]) == 0
+        expected = sorted((golden_dir / "odd_lines_capture").iterdir())
+        assert [path.name for path in expected] == [
+            "discrepancies.txt", "propagation.csv", "rtt.csv", "stats.txt"
+        ]
+        for path in expected:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_calls_the_names_the_benchmark_traces(self, tmp_path, golden_dir, monkeypatch):
+        # perfbench's traced run wraps these gsmloc.cli module globals; if
+        # analyze-log stopped calling them, its per-layer metrics would read 0.
+        results = {}
+
+        def spy(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args):
+                results.setdefault(name, []).append((args, original(*args)))
+                return results[name][-1][1]
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        spy("parse_ping_log")
+        spy("pair_rtts")
+        log = golden_dir.parent / "odd_lines_capture.log"
+        assert main(["analyze-log", str(log), "-o", str(tmp_path / "out")]) == 0
+        [((text, warnings), records)] = results["parse_ping_log"]
+        [(_, samples)] = results["pair_rtts"]
+        assert len(records) == len(oracle_parse_ping_log(text)) == 23
+        assert len(records) + len(warnings) == sum(1 for line in text.splitlines() if line.strip())
+        flags = [(s.valid, s.anomaly) for s in samples]
+        assert flags == [(True, None)] * 10 + [(False, NEGATIVE), (False, MISSING_REPLY)]
 
 
 class TestFeasibility:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pairing_oracle import pair_rtts as oracle_pair_rtts
+from parsing_oracle import parse_ping_log as oracle_parse_ping_log
 
 from gsmloc.errors import EmptyDataError
 from gsmloc.ingest import (
@@ -54,6 +55,48 @@ def ping_records(draw):
     ]
 
 
+# Trace-line pieces: well-formed ones, and odd ones that str.isdigit, int
+# and str.split or str.splitlines each treat their own way.
+ODD_SEQS = ["²", "٣", "1²", "+7", "-7", "1_0", "007", "x", "1.5", ""]
+ODD_TIMES = [
+    "23", "23.", ".000103", "23.5", "23.0001039", "²3.000103", "23.00010٣", "23.²00000",
+    "+23.000103", "-1.000000", "1_0.000000", "1.000_00", "1..000000", "1.000000.5", "x",
+]
+DIRECTIONS = ["request", "reply", "REQUEST", "Reply", "banana", "réply"]
+FIELD_SEPARATORS = [" ", "\t", " \t ", "\x1f", "\u3000"]
+LINE_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def trace_line(draw):
+    """One trace line: blank, well-formed, or with one or more odd pieces."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", " ", "\t", " \t\u3000"]))
+
+    def piece(usual, odd):
+        return draw(st.sampled_from(odd) if draw(st.integers(0, 3)) == 0 else usual)
+
+    seq = piece(st.integers(0, 10**6).map(str), ODD_SEQS)
+    time = piece(st.integers(0, 10**8).map(lambda us: f"{us // 10**6}.{us % 10**6:06d}"), ODD_TIMES)
+    direction = piece(st.sampled_from([REQUEST, REPLY]), DIRECTIONS)
+    hosts = st.sampled_from(["10.0.0.1", "10.0.0.2", "hôst"])
+    tokens = [seq, time, draw(hosts), draw(hosts), "ICMP", "Echo", "(ping)"]
+    shape = draw(st.sampled_from(["whole", "whole", "whole", "short", "extra"]))
+    if shape == "short":
+        tokens = tokens[: draw(st.integers(0, 4))]
+    elif shape == "extra":
+        tokens.insert(draw(st.integers(2, len(tokens))), "extra")
+    separator = draw(st.sampled_from(FIELD_SEPARATORS))
+    return draw(st.sampled_from(["", " "])) + separator.join(tokens + [direction])
+
+
+@st.composite
+def trace_texts(draw):
+    lines = draw(st.lists(trace_line(), max_size=30))
+    separators = draw(st.lists(st.sampled_from(LINE_SEPARATORS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + sep for line, sep in zip(lines, separators))
+
+
 def samples_from_us(values_us):
     return [
         RttSample(request_seq=i, reply_seq=i + 1, rtt_us=v, valid=True)
@@ -97,6 +140,17 @@ class TestParsing:
         assert len(records) == 1
         assert len(warnings) == 3
         assert all("line" in w for w in warnings)
+
+    @settings(max_examples=500, deadline=None)
+    @given(trace_texts())
+    def test_matches_record_per_line_oracle(self, text):
+        warnings, expected_warnings = [], []
+        expected = oracle_parse_ping_log(text, expected_warnings)
+        records = parse_ping_log(text, warnings)
+        assert list(records) == expected
+        assert records == expected
+        assert warnings == expected_warnings
+        assert parse_ping_log(text) == expected
 
     def test_timestamp_exact_microseconds(self):
         assert parse_timestamp_us("21.000091") == 21000091
