@@ -29,8 +29,10 @@ from .errors import (
 )
 from .geometry import Point3, TowerSite, distance, hex_cell_layout
 from .ingest import (
+    PingLog,
     PingRecord,
     RttSample,
+    RttTable,
     pair_rtts,
     parse_ping_log,
     rtt_stats,

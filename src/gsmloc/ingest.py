@@ -10,6 +10,22 @@ The direction comes solely from the trailing token. Timestamps are decimal
 seconds with up to six fractional digits; they are held as exact integer
 microseconds internally so golden comparisons never drift through floats.
 
+A parsed trace is a ``PingLog`` and a paired one an ``RttTable``: parallel
+lists, one per field, so a long capture costs a few list appends per line
+rather than an object. Both are read-only sequences whose items, a
+``PingRecord`` or an ``RttSample``, are built only when read, and each
+compares equal to a list of the same items. Every function that takes
+records or samples also accepts a plain list of them.
+
+``parse_ping_log`` takes a fast path for the common well-formed line: ASCII
+only, a direction written exactly ``request`` or ``reply``, decimal digits
+for seq, and a time with exactly six fractional digits. Every other line
+goes through ``parse_ping_record``, which decides it exactly as for a single
+line and is the only source of malformed-line messages. The fast path
+accepts nothing that parser would reject or read differently; the ASCII
+test matters because ``str.isdigit`` accepts digits such as "²" that
+``int`` rejects.
+
 Each request pairs with the earliest unconsumed reply after it whose
 (src, dst) is the reverse of its own; the exports carry no ICMP
 sequence/id fields, so record order is the only pairing key available.
@@ -23,7 +39,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import defaultdict, deque
+from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import EmptyDataError
@@ -69,6 +86,128 @@ class RttSample:
         return None if self.rtt_us is None else self.rtt_us / US_PER_S
 
 
+class _Columns(Sequence):
+    """A read-only sequence stored as parallel columns; items are built when read."""
+
+    __slots__ = ()
+
+    def _item(self, index: int):
+        raise NotImplementedError
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._item(i) for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._item(index % n)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Columns)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class PingLog(_Columns):
+    """Parsed trace records as columns; reading item i builds its PingRecord.
+
+    ``path[i]`` indexes ``paths``, the distinct (src, dst) pairs in order of
+    first appearance.
+    """
+
+    __slots__ = ("seq", "time_us", "path", "is_request", "paths")
+
+    def __init__(
+        self,
+        seq: list[int],
+        time_us: list[int],
+        path: list[int],
+        is_request: list[bool],
+        paths: list[tuple[str, str]],
+    ):
+        self.seq = seq
+        self.time_us = time_us
+        self.path = path
+        self.is_request = is_request
+        self.paths = paths
+
+    @classmethod
+    def of(cls, records: Iterable[PingRecord]) -> PingLog:
+        """The records as a PingLog; a PingLog is returned as it is.
+
+        A record whose direction is not REQUEST counts as a reply.
+        """
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        path_ids: dict[tuple[str, str], int] = {}
+        return cls(
+            [r.seq for r in records],
+            [r.time_us for r in records],
+            [path_ids.setdefault((r.src, r.dst), len(path_ids)) for r in records],
+            [r.direction == REQUEST for r in records],
+            list(path_ids),
+        )
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def _item(self, i: int) -> PingRecord:
+        src, dst = self.paths[self.path[i]]
+        return PingRecord(self.seq[i], self.time_us[i], src, dst, REQUEST if self.is_request[i] else REPLY)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+
+class RttTable(_Columns):
+    """Paired samples as columns; reading item i builds its RttSample."""
+
+    __slots__ = ("request_seq", "reply_seq", "rtt_us", "valid", "anomaly")
+
+    def __init__(
+        self,
+        request_seq: list[int],
+        reply_seq: list[int | None],
+        rtt_us: list[int | None],
+        valid: list[bool],
+        anomaly: list[str | None],
+    ):
+        self.request_seq = request_seq
+        self.reply_seq = reply_seq
+        self.rtt_us = rtt_us
+        self.valid = valid
+        self.anomaly = anomaly
+
+    @classmethod
+    def of(cls, samples: Iterable[RttSample]) -> RttTable:
+        """The samples as an RttTable, flags kept; an RttTable is returned as it is."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        return cls(
+            [s.request_seq for s in samples],
+            [s.reply_seq for s in samples],
+            [s.rtt_us for s in samples],
+            [s.valid for s in samples],
+            [s.anomaly for s in samples],
+        )
+
+    def __len__(self) -> int:
+        return len(self.request_seq)
+
+    def _item(self, i: int) -> RttSample:
+        return RttSample(self.request_seq[i], self.reply_seq[i], self.rtt_us[i], self.valid[i], self.anomaly[i])
+
+    def __iter__(self):
+        return map(RttSample, self.request_seq, self.reply_seq, self.rtt_us, self.valid, self.anomaly)
+
+
 def parse_timestamp_us(text: str) -> int:
     """Parse decimal seconds into exact integer microseconds.
 
@@ -112,25 +251,54 @@ def format_ping_record(record: PingRecord) -> str:
     )
 
 
-def parse_ping_log(text: str, warnings: list[str] | None = None) -> list[PingRecord]:
+def parse_ping_log(text: str, warnings: list[str] | None = None) -> PingLog:
     """Parse a whole trace, one record per well-formed line, order preserved.
 
     Malformed lines are skipped, never fatal; pass a list as ``warnings``
     to collect a message per skipped line. Blank lines are ignored.
     """
-    records = []
+    seq: list[int] = []
+    time_us: list[int] = []
+    path: list[int] = []
+    is_request: list[bool] = []
+    path_ids: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        tokens = line.split()
+        if not tokens:
             continue
-        try:
-            records.append(parse_ping_record(line))
-        except ValueError as exc:
-            if warnings is not None:
-                warnings.append(f"line {lineno}: {exc}")
-    return records
+        kind = tokens[-1]
+        # The fast path: on an ASCII line, "digits.dddddd" minus its dot is
+        # exactly the microsecond count parse_timestamp_us would give.
+        if (
+            len(tokens) >= 5
+            and (kind == REQUEST or kind == REPLY)
+            and line.isascii()
+            and tokens[0].isdigit()
+            and len(stamp := tokens[1]) > 7
+            and stamp[-7] == "."
+            and (digits := stamp[:-7] + stamp[-6:]).isdigit()
+        ):
+            seq.append(int(tokens[0]))
+            time_us.append(int(digits))
+            key = (tokens[2], tokens[3])
+            request = kind == REQUEST
+        else:
+            try:
+                record = parse_ping_record(line)
+            except ValueError as exc:
+                if warnings is not None:
+                    warnings.append(f"line {lineno}: {exc}")
+                continue
+            seq.append(record.seq)
+            time_us.append(record.time_us)
+            key = (record.src, record.dst)
+            request = record.direction == REQUEST
+        path.append(path_ids.setdefault(key, len(path_ids)))
+        is_request.append(request)
+    return PingLog(seq, time_us, path, is_request, list(path_ids))
 
 
-def pair_rtts(records: list[PingRecord]) -> list[RttSample]:
+def pair_rtts(records: Iterable[PingRecord]) -> RttTable:
     """Pair each request with the earliest unconsumed reverse-path reply after it.
 
     Produces one sample per request, in request order. A reply earlier than
@@ -147,26 +315,39 @@ def pair_rtts(records: list[PingRecord]) -> list[RttSample]:
     replies are claimed in file order and each goes to the oldest request
     still waiting before it. Cost is O(n) in the number of records.
     """
-    samples: list[RttSample | None] = []
-    pending: defaultdict[tuple[str, str], deque[tuple[int, PingRecord]]] = defaultdict(deque)
-    for record in records:
-        if record.direction == REQUEST:
-            pending[record.src, record.dst].append((len(samples), record))
-            samples.append(None)
+    log = PingLog.of(records)
+    path_ids = {key: i for i, key in enumerate(log.paths)}
+    reverse = [path_ids.get((dst, src)) for src, dst in log.paths]
+    pending: list[deque[int]] = [deque() for _ in log.paths]
+    request_seq: list[int] = []
+    request_time: list[int] = []
+    n_requests = sum(log.is_request)
+    # Every request starts unanswered; a reply fills in its slot.
+    reply_seq: list[int | None] = [None] * n_requests
+    rtt_us: list[int | None] = [None] * n_requests
+    valid = [False] * n_requests
+    anomaly: list[str | None] = [MISSING_REPLY] * n_requests
+    for seq, time, path, is_request in zip(log.seq, log.time_us, log.path, log.is_request):
+        if is_request:
+            pending[path].append(len(request_seq))
+            request_seq.append(seq)
+            request_time.append(time)
             continue
-        queue = pending.get((record.dst, record.src))
+        reverse_path = reverse[path]
+        if reverse_path is None:
+            continue
+        queue = pending[reverse_path]
         if not queue:
             continue
-        slot, request = queue.popleft()
-        rtt_us = record.time_us - request.time_us
-        if rtt_us < 0:
-            samples[slot] = RttSample(request.seq, record.seq, rtt_us, valid=False, anomaly=NEGATIVE)
+        slot = queue.popleft()
+        reply_seq[slot] = seq
+        rtt_us[slot] = interval = time - request_time[slot]
+        if interval < 0:
+            anomaly[slot] = NEGATIVE
         else:
-            samples[slot] = RttSample(request.seq, record.seq, rtt_us, valid=True)
-    for queue in pending.values():
-        for slot, request in queue:
-            samples[slot] = RttSample(request.seq, None, None, valid=False, anomaly=MISSING_REPLY)
-    return samples
+            valid[slot] = True
+            anomaly[slot] = None
+    return RttTable(request_seq, reply_seq, rtt_us, valid, anomaly)
 
 
 def check_kernel_delay(kernel_delay: float) -> None:
@@ -175,7 +356,7 @@ def check_kernel_delay(kernel_delay: float) -> None:
         raise ValueError(f"kernel delay must be finite and non-negative, got {kernel_delay}")
 
 
-def subtract_baseline(samples: list[RttSample], kernel_delay: float) -> list[float]:
+def subtract_baseline(samples: Iterable[RttSample], kernel_delay: float) -> list[float]:
     """Remove the constant kernel delay from each valid sample's RTT.
 
     Returns propagation times in seconds, one per valid sample in order. A
@@ -185,16 +366,18 @@ def subtract_baseline(samples: list[RttSample], kernel_delay: float) -> list[flo
     negative or not finite.
     """
     check_kernel_delay(kernel_delay)
-    return [s.rtt_us / US_PER_S - kernel_delay for s in samples if s.valid]
+    table = RttTable.of(samples)
+    return [rtt / US_PER_S - kernel_delay for rtt, valid in zip(table.rtt_us, table.valid) if valid]
 
 
-def rtt_stats(samples: list[RttSample]) -> dict[str, float]:
+def rtt_stats(samples: Iterable[RttSample]) -> dict[str, float]:
     """Summary statistics (seconds) over the valid samples only.
 
     Raises:
         EmptyDataError: when no sample is valid.
     """
-    values = [s.rtt_us / US_PER_S for s in samples if s.valid]
+    table = RttTable.of(samples)
+    values = [rtt / US_PER_S for rtt, valid in zip(table.rtt_us, table.valid) if valid]
     if not values:
         raise EmptyDataError("no valid RTT samples to summarize")
     return {
@@ -206,14 +389,30 @@ def rtt_stats(samples: list[RttSample]) -> dict[str, float]:
     }
 
 
-def rtt_csv(samples: list[RttSample]) -> str:
+def rtt_csv(samples: Iterable[RttSample]) -> str:
     """Render samples as CSV: request_seq, reply_seq, rtt_us, valid, anomaly."""
+    table = RttTable.of(samples)
     lines = ["request_seq,reply_seq,rtt_us,valid,anomaly"]
-    for s in samples:
-        reply_seq = "" if s.reply_seq is None else str(s.reply_seq)
-        rtt_us = "" if s.rtt_us is None else str(s.rtt_us)
-        anomaly = s.anomaly or ""
-        lines.append(f"{s.request_seq},{reply_seq},{rtt_us},{str(s.valid).lower()},{anomaly}")
+    lines += [
+        f"{request_seq},{'' if reply_seq is None else reply_seq},{'' if rtt_us is None else rtt_us},"
+        f"{str(valid).lower()},{anomaly or ''}"
+        for request_seq, reply_seq, rtt_us, valid, anomaly in zip(
+            table.request_seq, table.reply_seq, table.rtt_us, table.valid, table.anomaly
+        )
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def propagation_csv(samples: Iterable[RttSample], kernel_delay: float) -> str:
+    """Render subtract_baseline as CSV: request_seq, prop_s, flagged_negative.
+
+    One row per valid sample; a negative propagation time is flagged.
+    """
+    table = RttTable.of(samples)
+    propagation = subtract_baseline(table, kernel_delay)
+    request_seq = [seq for seq, valid in zip(table.request_seq, table.valid) if valid]
+    lines = ["request_seq,prop_s,flagged_negative"]
+    lines += [f"{seq},{prop:.9e},{str(prop < 0).lower()}" for seq, prop in zip(request_seq, propagation)]
     return "\n".join(lines) + "\n"
 
 
@@ -225,21 +424,22 @@ def stats_summary(stats: dict[str, float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def discrepancy_report(samples: list[RttSample], warnings: list[str] | None = None) -> str:
+def discrepancy_report(samples: Iterable[RttSample], warnings: list[str] | None = None) -> str:
     """List every anomalous sample and malformed line, one per line.
 
     Anomalies are reported, never silently dropped; a clean log yields the
     single line ``none``.
     """
+    table = RttTable.of(samples)
     lines = []
-    for s in samples:
-        if s.anomaly == NEGATIVE:
+    for i, anomaly in enumerate(table.anomaly):
+        if anomaly == NEGATIVE:
             lines.append(
-                f"negative-interval\trequest_seq={s.request_seq}"
-                f"\treply_seq={s.reply_seq}\trtt_us={s.rtt_us}"
+                f"negative-interval\trequest_seq={table.request_seq[i]}"
+                f"\treply_seq={table.reply_seq[i]}\trtt_us={table.rtt_us[i]}"
             )
-        elif s.anomaly == MISSING_REPLY:
-            lines.append(f"missing-reply\trequest_seq={s.request_seq}")
+        elif anomaly == MISSING_REPLY:
+            lines.append(f"missing-reply\trequest_seq={table.request_seq[i]}")
     for message in warnings or ():
         lines.append(f"malformed-line\t{message}")
     if not lines:

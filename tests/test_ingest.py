@@ -13,14 +13,17 @@ from gsmloc.ingest import (
     NEGATIVE,
     REPLY,
     REQUEST,
+    PingLog,
     PingRecord,
     RttSample,
+    RttTable,
     discrepancy_report,
     format_ping_record,
     pair_rtts,
     parse_ping_log,
     parse_ping_record,
     parse_timestamp_us,
+    propagation_csv,
     rtt_csv,
     rtt_stats,
     stats_summary,
@@ -166,6 +169,51 @@ class TestParsing:
             assert parse_ping_log(rendered) == records
 
 
+class TestColumns:
+    TEXT = "\n".join(
+        [
+            "1 1.000000 10.0.0.1 10.0.0.2 ICMP Echo (ping) request",
+            "2 1.000500 10.0.0.2 10.0.0.1 ICMP Echo (ping) reply",
+            "3 2.000000 10.0.0.1 10.0.0.3 ICMP Echo (ping) request",
+        ]
+    )
+
+    def test_log_reads_like_a_list_of_records(self):
+        log = parse_ping_log(self.TEXT)
+        assert isinstance(log, PingLog)
+        records = [parse_ping_record(line) for line in self.TEXT.splitlines()]
+        assert len(log) == 3
+        assert log[0] == records[0] and log[-1] == records[2]
+        assert log[1:] == records[1:]
+        assert log == records and log != records[:2]
+        assert records == log
+        with pytest.raises(IndexError):
+            log[3]
+        with pytest.raises(IndexError):
+            log[-4]
+        assert log.paths == [("10.0.0.1", "10.0.0.2"), ("10.0.0.2", "10.0.0.1"), ("10.0.0.1", "10.0.0.3")]
+        assert PingLog.of(records) == log and PingLog.of(log) is log
+
+    def test_table_keeps_hand_built_flags(self):
+        # an unusual combination no pairing produces: invalid, no anomaly
+        samples = [RttSample(1, 2, 500, valid=True), RttSample(3, 4, 700, valid=False)]
+        table = RttTable.of(samples)
+        assert table == samples and table.valid == [True, False] and table.anomaly == [None, None]
+        assert rtt_stats(samples)["count"] == 1
+        assert rtt_csv(samples).splitlines()[2] == "3,4,700,false,"
+        assert discrepancy_report(samples) == "none\n"
+
+    def test_table_reads_like_a_list_of_samples(self):
+        table = pair_rtts(parse_ping_log(self.TEXT))
+        expected = [
+            RttSample(1, 2, 500, valid=True),
+            RttSample(3, None, None, valid=False, anomaly=MISSING_REPLY),
+        ]
+        assert table == expected and table[-1] == expected[1] and table[:1] == expected[:1]
+        assert rtt_csv(table) == rtt_csv(expected)
+        assert discrepancy_report(table, ["line 9: x"]) == discrepancy_report(expected, ["line 9: x"])
+
+
 class TestPairing:
     def test_tower1_pairs(self, tower1_log):
         samples = pair_rtts(parse_ping_log(tower1_log))
@@ -219,6 +267,15 @@ class TestPairing:
     @given(ping_records())
     def test_matches_quadratic_oracle(self, records):
         assert pair_rtts(records) == oracle_pair_rtts(records)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace_texts())
+    def test_parsed_log_pairs_like_the_oracles(self, text):
+        expected = oracle_pair_rtts(oracle_parse_ping_log(text))
+        table = pair_rtts(parse_ping_log(text))
+        assert isinstance(table, RttTable)
+        assert list(table) == expected
+        assert pair_rtts(list(parse_ping_log(text))) == expected
 
     def test_all_replies_missing_is_linear(self):
         # The worst case for per-request rescanning: nothing ever pairs.
@@ -335,6 +392,14 @@ class TestRenderers:
         assert lines[0] == "request_seq,reply_seq,rtt_us,valid,anomaly"
         assert lines[1] == "45,46,-17,false,negative"
         assert lines[3] == "49,50,690,true,"
+
+    def test_propagation_csv_rows_follow_valid_samples(self):
+        samples = samples_from_us([690, 567]) + [RttSample(9, 10, -17, valid=False, anomaly=NEGATIVE)]
+        assert propagation_csv(samples, 0.0006) == (
+            "request_seq,prop_s,flagged_negative\n"
+            "0,9.000000000e-05,false\n"
+            "1,-3.300000000e-05,true\n"
+        )
 
     def test_discrepancy_report_clean_log(self):
         samples = samples_from_us([100, 200])
