@@ -6,7 +6,10 @@ manifest recording the command, the sha256 digest of the effective input,
 the seed where one applies and the output file names, and only then prints
 the command's stdout. Reruns with identical inputs produce identical
 manifests except for the created_utc field, which is excluded from the
-digest. A failed command writes no file and prints nothing on stdout.
+digest. A failed command writes no file and prints nothing on stdout. Each
+file is first written under a temporary name in --out-dir and all are
+renamed into place only once every write has succeeded, so a failed write
+leaves none of them behind.
 
 Commands raise on failure; main maps each error type to its exit code and
 prints one "error: ..." line on stderr.
@@ -27,6 +30,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -363,6 +367,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_all(out_dir: Path, files: dict[str, str]) -> None:
+    """Write files (name to content) into out_dir, all of them or, on error, none.
+
+    Every file goes to a temporary name first; the renames start only once
+    every write has succeeded. On an OSError the temporary files are removed
+    and the error propagates.
+    """
+    staged = []
+    try:
+        for name, content in files.items():
+            temporary = out_dir / f".{name}.{os.getpid()}.tmp"
+            staged.append((temporary, out_dir / name))
+            temporary.write_text(content)
+        for temporary, final in staged:
+            temporary.replace(final)
+    except OSError:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -381,8 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         try:
             args.out_dir.mkdir(parents=True, exist_ok=True)
-            for name, content in files.items():
-                (args.out_dir / name).write_text(content)
+            _write_all(args.out_dir, files)
         except OSError as exc:
             raise ConfigError(f"cannot write {args.out_dir}: {exc}") from exc
     except GsmlocError as exc:

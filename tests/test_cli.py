@@ -79,6 +79,26 @@ def test_unwritable_out_dir_exit_2(tmp_path, golden_dir, capsys, name, under_fil
     assert list(tmp_path.iterdir()) == [blocker]
 
 
+@pytest.mark.parametrize("name", ["simulate_lossless", "analyze_log_pairing_capture"])
+def test_failed_write_leaves_no_file(tmp_path, golden_dir, capsys, monkeypatch, name):
+    write_text, calls = Path.write_text, []
+
+    def fail_third(path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_third)
+    out = tmp_path / "out"
+    assert main(golden_run_argv(golden_dir, name, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
+    assert len(calls) == 3
+    assert list(out.iterdir()) == []
+
+
 class TestSimulate:
     def test_writes_table_shaped_csv(self, tmp_path):
         config = write_config(tmp_path / "scenario.json", HEX_CONFIG)
