@@ -89,8 +89,6 @@ class RttSample:
 class _Columns(Sequence):
     """A read-only sequence stored as parallel columns; items are built when read."""
 
-    __slots__ = ()
-
     def _item(self, index: int):
         raise NotImplementedError
 
@@ -101,6 +99,9 @@ class _Columns(Sequence):
         if not -n <= index < n:
             raise IndexError(f"{type(self).__name__} index out of range")
         return self._item(index % n)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
 
     def __eq__(self, other):
         if not isinstance(other, (list, _Columns)):
@@ -113,28 +114,15 @@ class _Columns(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
+@dataclass(eq=False, repr=False)
 class PingLog(_Columns):
-    """Parsed trace records as columns; reading item i builds its PingRecord.
+    """Parsed trace records as columns; reading item i builds its PingRecord."""
 
-    ``path[i]`` indexes ``paths``, the distinct (src, dst) pairs in order of
-    first appearance.
-    """
-
-    __slots__ = ("seq", "time_us", "path", "is_request", "paths")
-
-    def __init__(
-        self,
-        seq: list[int],
-        time_us: list[int],
-        path: list[int],
-        is_request: list[bool],
-        paths: list[tuple[str, str]],
-    ):
-        self.seq = seq
-        self.time_us = time_us
-        self.path = path
-        self.is_request = is_request
-        self.paths = paths
+    seq: list[int]
+    time_us: list[int]
+    path: list[int]  # index into paths
+    is_request: list[bool]
+    paths: list[tuple[str, str]]  # the distinct (src, dst), in order of first appearance
 
     @classmethod
     def of(cls, records: Iterable[PingRecord]) -> PingLog:
@@ -161,28 +149,16 @@ class PingLog(_Columns):
         src, dst = self.paths[self.path[i]]
         return PingRecord(self.seq[i], self.time_us[i], src, dst, REQUEST if self.is_request[i] else REPLY)
 
-    def __iter__(self):
-        return map(self._item, range(len(self)))
 
-
+@dataclass(eq=False, repr=False)
 class RttTable(_Columns):
     """Paired samples as columns; reading item i builds its RttSample."""
 
-    __slots__ = ("request_seq", "reply_seq", "rtt_us", "valid", "anomaly")
-
-    def __init__(
-        self,
-        request_seq: list[int],
-        reply_seq: list[int | None],
-        rtt_us: list[int | None],
-        valid: list[bool],
-        anomaly: list[str | None],
-    ):
-        self.request_seq = request_seq
-        self.reply_seq = reply_seq
-        self.rtt_us = rtt_us
-        self.valid = valid
-        self.anomaly = anomaly
+    request_seq: list[int]
+    reply_seq: list[int | None]
+    rtt_us: list[int | None]
+    valid: list[bool]
+    anomaly: list[str | None]
 
     @classmethod
     def of(cls, samples: Iterable[RttSample]) -> RttTable:
@@ -203,9 +179,6 @@ class RttTable(_Columns):
 
     def _item(self, i: int) -> RttSample:
         return RttSample(self.request_seq[i], self.reply_seq[i], self.rtt_us[i], self.valid[i], self.anomaly[i])
-
-    def __iter__(self):
-        return map(RttSample, self.request_seq, self.reply_seq, self.rtt_us, self.valid, self.anomaly)
 
 
 def parse_timestamp_us(text: str) -> int:

@@ -6,15 +6,16 @@ Run from the repository root:
         --seeds 2 --out BENCH_6.json
 
 Each commit is exported with ``git archive`` into its own temporary
-directory, so uncommitted files never take part. For every workload, pair i
-runs ``perfbench/run.py --trace 0`` once in each copy, the parent first on
-even i and the change first on odd i, with seed ``seeds[i % len(seeds)]``
-and the run length set in ``BENCHMARK.json``. The JSON holds, per workload,
-end-to-end metric and side, the median, first and third quartiles
-(``statistics.quantiles``, inclusive method) and the number of runs, and per
-metric the number of pairs the change won (ties count for neither side),
-next to the commits, seeds, host, and Python and numpy versions. A run that
-exits nonzero or prints no result line stops the script.
+directory, so uncommitted files never take part. For every workload in the
+change's ``BENCHMARK.json``, pair i runs ``perfbench/run.py --trace 0``
+once in each copy, the parent first on even i and the change first on odd
+i, with seed ``seeds[i % len(seeds)]`` and the run length set in
+``BENCHMARK.json``. The JSON holds, per workload, end-to-end metric and
+side, the median, first and third quartiles (``statistics.quantiles``,
+inclusive method) and the number of runs, and per metric the number of
+pairs the change won (ties count for neither side), next to the commits,
+seeds, host, and Python and numpy versions. A run that exits nonzero or
+prints no result line stops the script.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ def main() -> int:
     parser.add_argument("--change", required=True, help="commit of the change side")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seeds", default="1", help="comma-separated workload seeds, used in turn")
-    parser.add_argument("--workloads", default=None, help="comma-separated; default: all in BENCHMARK.json")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args()
     seeds = [int(seed) for seed in args.seeds.split(",")]
@@ -104,10 +104,9 @@ def main() -> int:
             commits[side] = export(commit, trees[side])
         benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         end_to_end = {metric["name"]: metric for metric in benchmark["end_to_end"]}
-        workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in benchmark["workloads"]]
 
         results = {}
-        for workload in workloads:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             runs = {side: [] for side in SIDES}
             for i in range(args.pairs):
                 seed = seeds[i % len(seeds)]
