@@ -31,6 +31,8 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy  # a dependency of the benchmarked program; its version is recorded
+
 SIDES = ("parent", "change")
 
 
@@ -65,14 +67,6 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def numpy_version() -> str:
-    try:
-        import numpy
-    except ImportError:
-        return "absent"
-    return numpy.__version__
-
-
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as cpuinfo:
@@ -96,8 +90,8 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
-        trees = {side: Path(scratch) / side for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as workdir:
+        trees = {side: Path(workdir) / side for side in SIDES}
         commits = {}
         for side, commit in zip(SIDES, (args.parent, args.change)):
             trees[side].mkdir()
@@ -149,7 +143,7 @@ def main() -> int:
             "cpus": os.cpu_count(),
         },
         "python": platform.python_version(),
-        "numpy": numpy_version(),
+        "numpy": numpy.__version__,
         "quartiles": "statistics.quantiles(values, n=4, method='inclusive')",
         "workloads": results,
     }
