@@ -402,3 +402,84 @@ class TestCoplanarTowers:
         scale = max(1.0, float(np.abs(pts).max()), float(np.linalg.norm(truth)))
         assert np.linalg.norm(np.array(fix.position.as_tuple()) - truth) <= 1e-9 * scale
         assert fix.method == LEAST_SQUARES
+
+
+def scaled(value, exponent: int) -> float:
+    return value * 10.0**exponent
+
+
+@st.composite
+def flat_tower_cases(draw):
+    """4-8 towers on one plane of a grid: z = c, x = c, y = c, or the tilted z = x + c.
+
+    Tower 0 sits either anywhere on the plane or at the centre of a ring of
+    towers at equal offsets, so that several difference rows have the same
+    length and the longest row is a tie.
+    """
+    value = draw(st.sampled_from([FINE, COARSE]))
+    plane = draw(st.sampled_from(["z", "x", "y", "tilted"]))
+    c = draw(value)
+    n = draw(st.integers(4, 8))
+    if draw(st.booleans()):
+        uv = [(draw(value), draw(value)) for _ in range(n)]
+    else:
+        u0, v0, step = draw(value), draw(value), draw(st.sampled_from([1.0, 100.0, 0.125]))
+        ring = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)]
+        offsets = draw(st.permutations(ring))[: n - 1]
+        uv = [(u0, v0)] + [(u0 + du * step, v0 + dv * step) for du, dv in offsets]
+    place = {
+        "z": lambda u, v: (u, v, c),
+        "x": lambda u, v: (c, u, v),
+        "y": lambda u, v: (u, c, v),
+        "tilted": lambda u, v: (u, v, u + c),
+    }[plane]
+    towers = [TowerSite(i, Point3(*place(u, v))) for i, (u, v) in enumerate(uv)]
+    mobile = Point3(draw(value), draw(value), draw(value))
+    ranges = clock_ranges(mobile, towers, draw(st.sampled_from([0.0, 1e-9, 1e-8])))
+    return towers, ranges, draw(st.sampled_from([NONNEGATIVE, NONPOSITIVE]))
+
+
+@st.composite
+def scaled_three_tower_cases(draw):
+    """three_tower_cases with every coordinate and range scaled by 10**e, e in [-3, 6]."""
+    towers, ranges, convention = draw(three_tower_cases())
+    e = draw(st.integers(-3, 6))
+    towers = [TowerSite(t.id, Point3(*(scaled(v, e) for v in t.position.as_tuple()))) for t in towers]
+    return towers, [scaled(r, e) for r in ranges], convention
+
+
+class TestAgainstNumpyOracle:
+    """solve_position on floats must give the bits of the numpy 3-vector version."""
+
+    @given(flat_tower_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_flat_towers_match_oracle(self, case):
+        towers, ranges, convention = case
+        assert outcome(solve_position, towers, ranges, convention) == outcome(
+            oracle.solve_position_numpy, towers, ranges, convention
+        )
+
+    @given(scaled_three_tower_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_scaled_three_towers_match_oracle(self, case):
+        towers, ranges, convention = case
+        assert outcome(solve_position, towers, ranges, convention) == outcome(
+            oracle.solve_position_numpy, towers, ranges, convention
+        )
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(4, 8),
+        st.integers(-3, 6),
+        st.sampled_from([NONNEGATIVE, NONPOSITIVE]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scaled_height_spread_matches_oracle(self, seed, n, e, convention):
+        rng = np.random.default_rng(seed)
+        towers = [TowerSite(t.id, Point3(*(scaled(v, e) for v in t.position.as_tuple())))
+                  for t in spread_towers(rng, n)]
+        mobile = Point3(*(scaled(v, e) for v in (*rng.uniform(-1500, 1500, size=2), rng.uniform(-100, 400))))
+        ranges = ranges_from(mobile, towers)
+        assert outcome(solve_position, towers, ranges, convention) == outcome(
+            oracle.solve_position_numpy, towers, ranges, convention
+        )

@@ -6,6 +6,12 @@ normal. ``multilaterate_lsq`` takes four or more: rows against the first
 tower, one least-squares solve, and any rank below 3 (coplanar towers or
 worse) rejected. ``gsmloc.trilateration`` must give exactly the same fix,
 or raise the same error, wherever these return a fix.
+
+``solve_position_numpy`` is the merged solver for any tower count as it was
+while its 3-vector work still ran through numpy (``np.cross``, row norms,
+``np.finfo``). ``gsmloc.trilateration.solve_position`` must give exactly
+the same fix, or raise the same error type, wherever this one returns a
+fix or raises a package error.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from gsmloc.trilateration import (
     build_difference_system,
     residuals,
 )
+
+_FIX_OVERFLOWS = "the fix overflows for these towers and ranges"
 
 # Tower triangles thinner than this (area relative to the squared longest
 # side) are treated as collinear.
@@ -185,4 +193,117 @@ def multilaterate_lsq(towers: list[TowerSite], ranges: list[float]) -> LocationF
         residuals=tuple(residuals(position, towers, ranges)),
         method=LEAST_SQUARES,
         z_branch=UNIQUE,
+    )
+
+
+@np.errstate(over="raise")
+def _root_along_normal(
+    point: np.ndarray, direction: np.ndarray, origin: np.ndarray, r1: float, z_convention: str
+) -> tuple[np.ndarray, bool]:
+    """The fix on the line point + t * direction, and whether it was clamped.
+
+    Raises FloatingPointError where the squared lengths overflow, rather
+    than warn and return a fix computed from infinities.
+    """
+    # The minimum-norm point has no component along the radical line.
+    # Intersect p(t) = point + t * direction with the first sphere:
+    # t^2 + 2 t (d.w) + (|w|^2 - r1^2) = 0 with w = point - T1.
+    w = point - origin
+    half_b = float(direction @ w)
+    c0 = float(w @ w) - r1 * r1
+    disc = half_b * half_b - c0
+
+    # The discriminant is a difference of squared lengths, so its rounding
+    # noise scales with those squares. Below the noise floor the two roots
+    # are indistinguishable: taking sqrt there would turn O(eps) noise into
+    # O(sqrt(eps)) error, so treat it as a double root on the tower plane.
+    noise_floor = 64.0 * np.finfo(float).eps * max(
+        1.0,
+        r1 * r1,
+        float(w @ w),
+        half_b * half_b,
+        float(origin @ origin),
+    )
+
+    clamped = False
+    if disc > noise_floor:
+        root = math.sqrt(disc)
+        t = -half_b + root if z_convention == NONNEGATIVE else -half_b - root
+    elif disc >= 0.0:
+        t = -half_b  # double root: the spheres meet exactly on the plane
+    else:
+        # No real intersection: take the closest point on the line, which
+        # lies exactly in the tower plane, and flag the clamp.
+        t = -half_b
+        clamped = True
+    return point + t * direction, clamped
+
+
+def solve_position_numpy(
+    towers: list[TowerSite],
+    ranges: list[float],
+    z_convention: str = NONNEGATIVE,
+) -> LocationFix:
+    """Recover a position from three or more towers and one range each.
+
+    One least-squares solve runs over the difference rows: the cyclic pairs
+    (1,2), (2,3) for three towers, every tower against the first for more.
+    Rows of rank 3 give the position. Rows of rank 2 (coplanar towers) give
+    a point on the radical line, which runs along the tower-plane normal;
+    intersecting that line with the first sphere gives a quadratic whose
+    roots are mirror images across the tower plane. The z_convention selects
+    the root at or above the plane (NONNEGATIVE) or at or below it
+    (NONPOSITIVE). A negative discriminant (inconsistent ranges, e.g. from
+    quantized timestamps) clamps the fix onto the tower plane and sets
+    z_clamped; the caller can judge severity from the residuals.
+
+    Raises:
+        DegenerateGeometryError: for collinear or coincident towers, or
+            towers and ranges for which the fix overflows.
+    """
+    if z_convention not in (NONNEGATIVE, NONPOSITIVE):
+        raise ValueError(f"z_convention must be {NONNEGATIVE!r} or {NONPOSITIVE!r}")
+    if len(towers) < 3 or len(towers) != len(ranges):
+        raise ValueError(f"need 3 or more towers and as many ranges, got {len(towers)} and {len(ranges)}")
+    if any(r < 0 for r in ranges):
+        raise ValueError("ranges must be non-negative")
+    origin = _pos_array(towers[0])
+    if len(towers) == 3:
+        rows = build_difference_system(towers, ranges).rows[:2]
+        normal = _check_not_collinear([_pos_array(t) for t in towers])
+    else:
+        rows = np.array([
+            _difference_row(towers[0].position, t.position, ranges[0], r)
+            for t, r in zip(towers[1:], ranges[1:])
+        ])
+    # A relative rank cut, so that rounding cannot lift coplanar towers to rank 3.
+    point, _, rank, _ = np.linalg.lstsq(rows[:, :3], rows[:, 3], rcond=_COLLINEARITY_REL_AREA)
+    if rank < 2:
+        raise DegenerateGeometryError(f"towers are collinear (difference rows span rank {rank})")
+
+    est, z_branch, clamped = point, UNIQUE, False
+    if rank == 2:
+        if len(towers) > 3:
+            # The longest row crossed with the row most oblique to it: on flat
+            # ground the rows have z exactly 0, and this normal is exactly vertical.
+            coeffs = rows[:, :3]
+            crosses = np.cross(coeffs[np.argmax(np.linalg.norm(coeffs, axis=1))], coeffs)
+            normal = crosses[np.argmax(np.linalg.norm(crosses, axis=1))]
+        direction = _oriented_unit(normal)
+
+        try:
+            est, clamped = _root_along_normal(point, direction, origin, ranges[0], z_convention)
+        except FloatingPointError:
+            raise DegenerateGeometryError(_FIX_OVERFLOWS) from None
+        z_branch = z_convention
+
+    if not np.isfinite(est).all():
+        raise DegenerateGeometryError(_FIX_OVERFLOWS)
+    position = Point3(float(est[0]), float(est[1]), float(est[2]))
+    return LocationFix(
+        position=position,
+        residuals=tuple(residuals(position, towers, ranges)),
+        method=THREE_TOWER_QUADRATIC if len(towers) == 3 else LEAST_SQUARES,
+        z_branch=z_branch,
+        z_clamped=clamped,
     )
