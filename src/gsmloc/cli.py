@@ -110,9 +110,11 @@ def config_digest(payload) -> str:
 
 
 def _read_input(path: Path) -> str:
+    """The file's text. A file that is not UTF-8 is rejected, not decoded
+    with replacements: analyze-log digests the decoded text."""
     try:
-        return path.read_text()
-    except OSError as exc:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
@@ -142,10 +144,9 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
     Every tower position and the mobile must be within _MAX_MAGNITUDE, and
     the timing mode must be round_trip: the simulator measures round trips.
     """
+    text = _read_input(path)
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     try:

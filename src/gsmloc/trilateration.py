@@ -10,12 +10,23 @@ rows fix only a line perpendicular to the tower plane (the radical line),
 which meets the first sphere in at most two points, mirror images across
 the tower plane; solve_position picks one by a caller supplied z
 convention. multilaterate_lsq is solve_position for four or more towers.
+
+Work on single 3-vectors is plain float arithmetic: the difference rows,
+the cross products that give the tower-plane normal, and the lengths that
+only rank rows or feed the collinearity threshold. A float cross product
+is the same multiply and subtract that numpy's cross does, so it has the
+same bits. numpy stays where its summation order defines the fix's bits:
+np.linalg.lstsq, the np.linalg.norm that scales the plane normal to unit
+length, and the dot products in _root_along_normal. numpy's dot sums in
+its own order, so a float version of these differs from it in the last
+bit for a fifth of random 3-vectors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +47,8 @@ LEAST_SQUARES = "least-squares"
 _COLLINEARITY_REL_AREA = 1e-9
 
 _FIX_OVERFLOWS = "the fix overflows for these towers and ranges"
+
+Vector3 = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -96,8 +109,14 @@ class LocationFix:
     z_clamped: bool = False
 
 
-def _pos_array(tower: TowerSite) -> np.ndarray:
-    return np.array(tower.position.as_tuple(), dtype=float)
+def _cross(a: Vector3, b: Vector3) -> Vector3:
+    """a x b, each component one product minus another, as numpy's cross computes it."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _length(v: Vector3) -> float:
+    """|v|, summed in the order np.linalg.norm(..., axis=1) sums a row."""
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
 def _difference_row(ta: Point3, tb: Point3, ra: float, rb: float) -> tuple[float, float, float, float]:
@@ -108,6 +127,21 @@ def _difference_row(ta: Point3, tb: Point3, ra: float, rb: float) -> tuple[float
     norm_b = tb.x * tb.x + tb.y * tb.y + tb.z * tb.z
     xi = ra * ra - rb * rb - norm_a + norm_b
     return lam, mu, sig, xi
+
+
+def _cyclic_rows(towers: list[TowerSite], ranges: list[float]) -> list[tuple[float, float, float, float]]:
+    """The rows for tower pairs (0, 1), (1, 2), (2, 0), in that order."""
+    rows = []
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        lam, mu, sig, xi = _difference_row(
+            towers[a].position, towers[b].position, ranges[a], ranges[b]
+        )
+        if lam == 0.0 and mu == 0.0 and sig == 0.0:
+            raise DegenerateGeometryError(
+                f"towers {towers[a].id} and {towers[b].id} share a position"
+            )
+        rows.append((lam, mu, sig, xi))
+    return rows
 
 
 def build_difference_system(towers: list[TowerSite], ranges: list[float]) -> LinearSystem3:
@@ -123,17 +157,7 @@ def build_difference_system(towers: list[TowerSite], ranges: list[float]) -> Lin
     """
     if len(towers) != 3 or len(ranges) != 3:
         raise ValueError(f"need exactly 3 towers and 3 ranges, got {len(towers)} and {len(ranges)}")
-    rows = []
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        lam, mu, sig, xi = _difference_row(
-            towers[a].position, towers[b].position, ranges[a], ranges[b]
-        )
-        if lam == 0.0 and mu == 0.0 and sig == 0.0:
-            raise DegenerateGeometryError(
-                f"towers {towers[a].id} and {towers[b].id} share a position"
-            )
-        rows.append((lam, mu, sig, xi))
-    return LinearSystem3(np.array(rows, dtype=float))
+    return LinearSystem3(np.array(_cyclic_rows(towers, ranges), dtype=float))
 
 
 def residuals(position: Point3, towers: list[TowerSite], ranges: list[float]) -> list[float]:
@@ -141,13 +165,15 @@ def residuals(position: Point3, towers: list[TowerSite], ranges: list[float]) ->
     return [abs(distance(position, t.position) - r) for t, r in zip(towers, ranges)]
 
 
-def _check_not_collinear(positions: list[np.ndarray]) -> np.ndarray:
+def _check_not_collinear(positions: list[Vector3]) -> Vector3:
     """Return the tower-plane normal, or raise if the triangle is degenerate."""
-    normal = np.cross(positions[1] - positions[0], positions[2] - positions[1])
-    area = float(np.linalg.norm(normal)) / 2.0
-    max_side = max(
-        float(np.linalg.norm(q - p)) for p, q in itertools.combinations(positions, 2)
+    p0, p1, p2 = positions
+    normal = _cross(
+        (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]),
+        (p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]),
     )
+    area = _length(normal) / 2.0
+    max_side = max(math.dist(p, q) for p, q in itertools.combinations(positions, 2))
     if max_side == 0.0 or area < _COLLINEARITY_REL_AREA * max_side * max_side:
         raise DegenerateGeometryError(
             f"towers are collinear (triangle area {area:.3e} for side scale {max_side:.3e})"
@@ -155,14 +181,23 @@ def _check_not_collinear(positions: list[np.ndarray]) -> np.ndarray:
     return normal
 
 
-def _oriented_unit(normal: np.ndarray) -> np.ndarray:
+def _oriented_unit(normal: Vector3) -> np.ndarray:
     """Unit normal with a canonical sign: first nonzero of (z, x, y) positive.
 
     Keeps the nonnegative branch meaning "above the tower plane in z" for
     horizontal tower planes, and stays deterministic for vertical ones
     (where both roots share a z anyway).
+
+    Raises DegenerateGeometryError where the normal's length underflows to
+    zero, as it does for towers around 1e-100 m apart and closer.
     """
-    unit = normal / np.linalg.norm(normal)
+    normal = np.array(normal)
+    length = np.linalg.norm(normal)
+    if length == 0.0:
+        raise DegenerateGeometryError(
+            "the towers' plane cannot be resolved at this scale (its normal has length 0)"
+        )
+    unit = normal / length
     for component in (unit[2], unit[0], unit[1]):
         if component != 0.0:
             return unit if component > 0.0 else -unit
@@ -183,17 +218,18 @@ def _root_along_normal(
     # t^2 + 2 t (d.w) + (|w|^2 - r1^2) = 0 with w = point - T1.
     w = point - origin
     half_b = float(direction @ w)
-    c0 = float(w @ w) - r1 * r1
+    w_squared = float(w @ w)
+    c0 = w_squared - r1 * r1
     disc = half_b * half_b - c0
 
     # The discriminant is a difference of squared lengths, so its rounding
     # noise scales with those squares. Below the noise floor the two roots
     # are indistinguishable: taking sqrt there would turn O(eps) noise into
     # O(sqrt(eps)) error, so treat it as a double root on the tower plane.
-    noise_floor = 64.0 * np.finfo(float).eps * max(
+    noise_floor = 64.0 * sys.float_info.epsilon * max(
         1.0,
         r1 * r1,
-        float(w @ w),
+        w_squared,
         half_b * half_b,
         float(origin @ origin),
     )
@@ -240,17 +276,17 @@ def solve_position(
         raise ValueError(f"need 3 or more towers and as many ranges, got {len(towers)} and {len(ranges)}")
     if any(r < 0 for r in ranges):
         raise ValueError("ranges must be non-negative")
-    origin = _pos_array(towers[0])
     if len(towers) == 3:
-        rows = build_difference_system(towers, ranges).rows[:2]
-        normal = _check_not_collinear([_pos_array(t) for t in towers])
+        rows = _cyclic_rows(towers, ranges)[:2]
+        normal = _check_not_collinear([t.position.as_tuple() for t in towers])
     else:
-        rows = np.array([
+        rows = [
             _difference_row(towers[0].position, t.position, ranges[0], r)
             for t, r in zip(towers[1:], ranges[1:])
-        ])
+        ]
+    system = np.array(rows)
     # A relative rank cut, so that rounding cannot lift coplanar towers to rank 3.
-    point, _, rank, _ = np.linalg.lstsq(rows[:, :3], rows[:, 3], rcond=_COLLINEARITY_REL_AREA)
+    point, _, rank, _ = np.linalg.lstsq(system[:, :3], system[:, 3], rcond=_COLLINEARITY_REL_AREA)
     if rank < 2:
         raise DegenerateGeometryError(f"towers are collinear (difference rows span rank {rank})")
 
@@ -259,20 +295,23 @@ def solve_position(
         if len(towers) > 3:
             # The longest row crossed with the row most oblique to it: on flat
             # ground the rows have z exactly 0, and this normal is exactly vertical.
-            coeffs = rows[:, :3]
-            crosses = np.cross(coeffs[np.argmax(np.linalg.norm(coeffs, axis=1))], coeffs)
-            normal = crosses[np.argmax(np.linalg.norm(crosses, axis=1))]
+            coeffs = [row[:3] for row in rows]
+            longest = max(coeffs, key=_length)
+            normal = max((_cross(longest, c) for c in coeffs), key=_length)
         direction = _oriented_unit(normal)
 
         try:
-            est, clamped = _root_along_normal(point, direction, origin, ranges[0], z_convention)
+            est, clamped = _root_along_normal(
+                point, direction, np.array(towers[0].position.as_tuple()), ranges[0], z_convention
+            )
         except FloatingPointError:
             raise DegenerateGeometryError(_FIX_OVERFLOWS) from None
         z_branch = z_convention
 
-    if not np.isfinite(est).all():
+    x, y, z = est.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise DegenerateGeometryError(_FIX_OVERFLOWS)
-    position = Point3(float(est[0]), float(est[1]), float(est[2]))
+    position = Point3(x, y, z)
     return LocationFix(
         position=position,
         residuals=tuple(residuals(position, towers, ranges)),

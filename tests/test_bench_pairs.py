@@ -1,0 +1,72 @@
+"""Verdicts of tools/bench_pairs.py on hand-made pairs; no benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPECS = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+OPS = SPECS["ops_per_s"]  # higher is better, bound 0.2
+P50 = SPECS["op_ms.p50"]  # lower is better, bound 0.25
+
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]  # median 100, Q3 - Q1 = 1.5
+
+
+def shifted(values, by):
+    return [v + by for v in values]
+
+
+def test_clear_gain():
+    entry = bench_pairs.compare(PARENT, shifted(PARENT, 40.0), OPS)
+    assert entry["change_wins"] == 10
+    assert entry["verdict"] == "gain"
+    assert entry["parent"]["median"] == 100.0 and entry["change"]["median"] == 140.0
+
+
+def test_gain_on_a_lower_is_better_metric():
+    assert bench_pairs.compare(PARENT, shifted(PARENT, -40.0), P50)["verdict"] == "gain"
+    assert bench_pairs.compare(PARENT, shifted(PARENT, 40.0), P50)["verdict"] == "worse"
+
+
+def test_nine_wins_suffice_eight_do_not():
+    change = shifted(PARENT, 10.0)
+    change[0] = PARENT[0] - 1.0
+    assert bench_pairs.compare(PARENT, change, OPS)["change_wins"] == 9
+    assert bench_pairs.compare(PARENT, change, OPS)["verdict"] == "gain"
+    change[1] = PARENT[1]  # a tie counts for neither side
+    assert bench_pairs.compare(PARENT, change, OPS)["change_wins"] == 8
+    assert bench_pairs.compare(PARENT, change, OPS)["verdict"] == "within"
+
+
+def test_every_pair_won_but_inside_the_parent_spread():
+    entry = bench_pairs.compare(PARENT, shifted(PARENT, 1.0), OPS)
+    assert entry["change_wins"] == 10
+    assert entry["verdict"] == "within"
+
+
+@pytest.mark.parametrize("by, verdict", [(-19.0, "within"), (-21.0, "worse")])
+def test_worse_means_beyond_the_bound(by, verdict):
+    # ops_per_s has bound 0.2: a median 20% below the parent's is still within.
+    assert bench_pairs.compare(PARENT, shifted(PARENT, by), OPS)["verdict"] == verdict
+
+
+def test_table_has_a_line_per_metric():
+    results = {
+        "locate-batch": {
+            "pairs": 10,
+            "metrics": {
+                "ops_per_s": bench_pairs.compare(PARENT, shifted(PARENT, 40.0), OPS),
+                "op_ms.p50": bench_pairs.compare(PARENT, PARENT, P50),
+            },
+        }
+    }
+    lines = bench_pairs.verdict_table(results).splitlines()
+    assert lines[0].split() == ["workload", "metric", "parent", "change", "wins", "verdict"]
+    assert lines[1].split() == ["locate-batch", "ops_per_s", "100", "140", "10/10", "gain"]
+    assert lines[2].split() == ["locate-batch", "op_ms.p50", "100", "100", "0/10", "within"]

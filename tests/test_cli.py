@@ -385,6 +385,34 @@ class TestLocate:
         assert result.stdout == ""
         assert not out.exists()
 
+    def test_unresolvable_tower_plane_exit_3(self, tmp_path):
+        # Five towers around 1e-114 m apart, whose plane normal has a length
+        # that underflows to 0. Run as a process with warnings as errors, so
+        # that a numpy warning would reach stderr or change the exit.
+        rows = tmp_path / "rows.txt"
+        rows.write_text(
+            "0 -1.4725384132971868e-114 9.348708136814765e-116 -8.576876979819554e-116 8.335182738654189e-113\n"
+            "1 -1.6748781899547912e-114 -9.820564355975896e-116 6.38189393004369e-89 6.563088438349182e-86\n"
+            "2 -9.242280965806416e-113 -8.011473251796368e-91 1.826358056653218e-112 8.750318957610661e-109\n"
+            "3 8.206519757213115e-119 2.240324654839915e-109 -9.628502186863375e-113 6.21655845777134e-110\n"
+            "4 -3.214868955938345e-114 3.48561229308079e-101 -3.1198807004794215e-87 5.353664634603665e-103\n"
+        )
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gsmloc.cli", "locate", str(rows), "-o", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 3
+        assert result.stderr == (
+            "error: degenerate geometry: the towers' plane cannot be resolved at this scale"
+            " (its normal has length 0)\n"
+        )
+        assert result.stdout == ""
+        assert not out.exists()
+
     @given(
         st.integers(0, 308),
         st.lists(
@@ -583,3 +611,29 @@ class TestFeasibility:
         record = json.loads((tmp_path / "feasibility_manifest.json").read_text())
         assert record["command"] == "feasibility"
         assert record["seed"] is None
+
+
+
+# Each command's input: valid text, then the bytes ff fe, which are not UTF-8.
+NOT_UTF8 = {
+    "analyze-log": (
+        b"1\t1.000000\t10.0.0.1\t10.0.0.2\tICMP\tEcho (ping) request\n"
+        b"2\t1.000700\t10.0.0.2\t10.0.0.1\tICMP\tEcho (ping) reply\n"
+        b"\xff\xfe junk\n"
+    ),
+    "locate": b"0 0 0 0 1\n1 10 0 0 1\n2 0 10 0 1\n# \xff\xfe\n",
+    "simulate": json.dumps(HEX_CONFIG).encode()[:-1] + b', "note": "\xff\xfe"}',
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_UTF8))
+def test_non_utf8_input_exit_2(tmp_path, capsys, command):
+    # Rejected, not decoded with replacements: analyze-log digests the text.
+    path = tmp_path / "input"
+    path.write_bytes(NOT_UTF8[command])
+    out = tmp_path / "out"
+    assert main([command, str(path), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: cannot read {re.escape(str(path))}: 'utf-8' codec can't decode [^\n]*\n", captured.err)
+    assert not out.exists()

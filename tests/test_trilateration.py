@@ -6,6 +6,7 @@ import trilateration_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsmloc import trilateration
 from gsmloc.errors import DegenerateGeometryError, GsmlocError, InsufficientMeasurementsError
 from gsmloc.geometry import Point3, TowerSite, distance
 from gsmloc.timing import SPEED_OF_LIGHT
@@ -450,6 +451,15 @@ def scaled_three_tower_cases(draw):
 
 class TestAgainstNumpyOracle:
     """solve_position on floats must give the bits of the numpy 3-vector version."""
+
+    def test_float_cross_and_row_length_match_numpy(self):
+        # The row lengths only pick rows, so a last-bit difference would
+        # rarely change a fix; compare them with numpy directly instead.
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 20000, 3)) * 10.0 ** rng.integers(-5, 6, size=(2, 20000, 3))
+        pairs = list(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+        assert [trilateration._cross(u, v) for u, v in pairs] == list(map(tuple, np.cross(a, b).tolist()))
+        assert [trilateration._length(u) for u, _ in pairs] == np.linalg.norm(a, axis=1).tolist()
 
     @given(flat_tower_cases())
     @settings(max_examples=500, deadline=None)

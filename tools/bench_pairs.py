@@ -13,15 +13,24 @@ i, with seed ``seeds[i % len(seeds)]`` and the run length set in
 ``BENCHMARK.json``. The JSON holds, per workload, end-to-end metric and
 side, the median, first and third quartiles (``statistics.quantiles``,
 inclusive method) and the number of runs, and per metric the number of
-pairs the change won (ties count for neither side), next to the commits,
-seeds, host, and Python and numpy versions. A run that exits nonzero or
-prints no result line stops the script.
+pairs the change won (ties count for neither side) and a verdict, next to
+the commits, seeds, host, and Python and numpy versions. A run that exits
+nonzero or prints no result line stops the script. The verdicts are also
+printed as a table on stdout:
+
+    gain    the change won at least 9 in 10 of the pairs, and its median is
+            better than the parent's by more than the parent's Q3 - Q1;
+    worse   the change's median is worse than the parent's by more than the
+            metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
+            parent's median;
+    within  anything else.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -65,6 +74,37 @@ def summary(values: list[float]) -> dict:
         return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def compare(parent: list[float], change: list[float], spec: dict) -> dict:
+    """One metric's paired runs, pair i being (parent[i], change[i]), as a report entry.
+
+    spec is the metric's ``end_to_end`` entry in ``BENCHMARK.json``.
+    """
+    sign = 1 if spec["better"] == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    sides = {"parent": summary(parent), "change": summary(change)}
+    gained = sign * (sides["change"]["median"] - sides["parent"]["median"])
+    if wins >= math.ceil(0.9 * len(parent)) and gained > sides["parent"]["q3"] - sides["parent"]["q1"]:
+        verdict = "gain"
+    elif gained < -spec["bound"] * abs(sides["parent"]["median"]):
+        verdict = "worse"
+    else:
+        verdict = "within"
+    return {"unit": spec["unit"], "better": spec["better"], **sides, "change_wins": wins, "verdict": verdict}
+
+
+def verdict_table(results: dict) -> str:
+    """The verdicts of a report's ``workloads`` section, one metric a line."""
+    lines = [f"{'workload':<14} {'metric':<12} {'parent':>12} {'change':>12} {'wins':>7}  verdict"]
+    for workload, result in results.items():
+        for name, metric in result["metrics"].items():
+            lines.append(
+                f"{workload:<14} {name:<12} {metric['parent']['median']:>12.5g}"
+                f" {metric['change']['median']:>12.5g} {metric['change_wins']:>3}/{result['pairs']:<3}"
+                f"  {metric['verdict']}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def cpu_model() -> str:
@@ -115,14 +155,7 @@ def main() -> int:
                 }
                 if not all(len(v) == args.pairs for v in values.values()):
                     continue  # a metric left out of some run, e.g. latencies with no result
-                sign = 1 if spec["better"] == "higher" else -1
-                wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-                metrics[name] = {
-                    "unit": spec["unit"],
-                    "better": spec["better"],
-                    **{side: summary(values[side]) for side in SIDES},
-                    "change_wins": wins,
-                }
+                metrics[name] = compare(values["parent"], values["change"], spec)
             results[workload] = {
                 "pairs": args.pairs,
                 "correct": {side: sum(run["correct"] for run in runs[side]) for side in SIDES},
@@ -148,6 +181,7 @@ def main() -> int:
         "workloads": results,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+    print(verdict_table(results), end="")
     return 0
 
 
