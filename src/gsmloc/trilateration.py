@@ -18,8 +18,8 @@ is the same multiply and subtract that numpy's cross does, so it has the
 same bits. numpy stays where its summation order defines the fix's bits:
 np.linalg.lstsq, the np.linalg.norm that scales the plane normal to unit
 length, and the dot products in _root_along_normal. numpy's dot sums in
-its own order, so a float version of these differs from it in the last
-bit for a fifth of random 3-vectors.
+its own order: a float version differs from it in the last bit for about
+a third of random 3-vectors, and a float norm for about a tenth.
 """
 
 from __future__ import annotations
