@@ -25,8 +25,11 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientMeasurementsError
 from .geometry import Point3, TowerSite, distance
-from .timing import TimingModel, distance_from_turnaround, percent_error, quantize
-from .trilateration import NONNEGATIVE, LocationFix, RangeMeasurement, solve_position
+from .timing import ROUND_TRIP, TimingModel, distance_from_turnaround, percent_error, quantize
+from .trilateration import NONNEGATIVE, LocationFix, RangeMeasurement, check_magnitude, solve_position
+
+# The one mobile of every exchange, as its requests name it in the trace.
+MOBILE_ID = "mobile-0"
 
 
 class EventKind(IntEnum):
@@ -42,10 +45,6 @@ class RequestPacket:
 
     timestamp: float  # seconds
     mob_id: str
-
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.timestamp}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class Trace:
     events: tuple[Event, ...]
     timing: TimingModel
     towers: tuple[TowerSite, ...]
-    mobile_id: str
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,14 @@ class ScenarioConfig:
     trials: int = 1
     request_time: float = 0.0
     packet_loss: float = 0.0
-    mobile_id: str = "mobile-0"
 
     def __post_init__(self):
+        for point in [t.position for t in self.towers] + [self.mobile_true_position]:
+            check_magnitude(point.as_tuple(), f"position {list(point.as_tuple())}")
+        if self.timing.mode != ROUND_TRIP:
+            raise ConfigError(
+                f"simulate measures round trips; timing mode must be {ROUND_TRIP!r}, got {self.timing.mode!r}"
+            )
         if len(self.towers) < 3:
             raise ConfigError(f"need at least 3 towers, got {len(self.towers)}")
         ids = [t.id for t in self.towers]
@@ -136,7 +139,7 @@ def run_scenario(
     lossy = config.packet_loss > 0.0
     c = config.timing.c
     t0 = config.request_time
-    request = RequestPacket(timestamp=t0, mob_id=config.mobile_id)
+    request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
 
     requests = []
     for tower in config.towers:
@@ -157,12 +160,7 @@ def run_scenario(
         events.append(Event(ack_arrival, EventKind.ACK_ARRIVES, tower_id, request))
     events.sort(key=lambda e: (e.time, e.kind, e.tower_id))
 
-    trace = Trace(
-        events=tuple(events),
-        timing=config.timing,
-        towers=config.towers,
-        mobile_id=config.mobile_id,
-    )
+    trace = Trace(events=tuple(events), timing=config.timing, towers=config.towers)
     measurements = first_k_acks(trace, 3)
     fix = solve_position(
         [m.tower for m in measurements],

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InsufficientMeasurementsError
+from .errors import ConfigError, DegenerateGeometryError, InsufficientMeasurementsError
 from .geometry import Point3, TowerSite, distance
 
 # Root selection / solve diagnostics.
@@ -48,7 +48,21 @@ _COLLINEARITY_REL_AREA = 1e-9
 
 _FIX_OVERFLOWS = "the fix overflows for these towers and ranges"
 
+# Largest coordinate or range magnitude locate and simulate accept, in meters.
+# The solver takes fourth powers of these (the squared length of the
+# tower-plane normal), which overflow the largest double, about 1.8e308, above
+# about 1.5e76.
+MAX_MAGNITUDE = 1e75
+
 Vector3 = tuple[float, float, float]
+
+
+def check_magnitude(values, shown: str) -> None:
+    """Raise ConfigError unless every value is finite and at most MAX_MAGNITUDE in magnitude."""
+    if not all(abs(v) <= MAX_MAGNITUDE for v in values):
+        raise ConfigError(
+            f"numbers must be finite and at most {MAX_MAGNITUDE:g} in absolute value, got {shown}"
+        )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from gsmloc.errors import InsufficientMeasurementsError
 from gsmloc.geometry import Point3, TowerSite, distance
-from gsmloc.simulator import Event, EventKind, RequestPacket, ScenarioConfig, Trace
+from gsmloc.simulator import MOBILE_ID, Event, EventKind, RequestPacket, ScenarioConfig, Trace
 from gsmloc.timing import distance_from_turnaround, quantize
 from gsmloc.trilateration import NONNEGATIVE, LocationFix, RangeMeasurement, solve_position
 
@@ -54,7 +54,7 @@ def run_scenario(
     rng = np.random.default_rng([config.rng_seed, trial_index])
     c = config.timing.c
     t0 = config.request_time
-    request = RequestPacket(timestamp=t0, mob_id=config.mobile_id)
+    request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
 
     heap: list[tuple[float, int, int, Event]] = []
     # Broadcast: one request per tower, each possibly lost in flight.
@@ -94,7 +94,6 @@ def run_scenario(
         events=tuple(events),
         timing=config.timing,
         towers=config.towers,
-        mobile_id=config.mobile_id,
     )
     measurements = first_k_acks(trace, 3)
     fix = solve_position(

@@ -17,7 +17,7 @@ from gsmloc.simulator import (
     run_scenario,
     run_trials,
 )
-from gsmloc.timing import SPEED_OF_LIGHT, TimingModel
+from gsmloc.timing import ONE_WAY, SPEED_OF_LIGHT, TimingModel
 
 RIGHT_TRIANGLE = (
     TowerSite(0, Point3(0, 0, 0)),
@@ -220,6 +220,14 @@ class TestScenarioConfigValidation:
             basic_config(packet_loss=1.5)
         with pytest.raises(ConfigError):
             basic_config(tower_processing_delay=-1e-9)
+        # A library caller gets the CLI's rules: no one-way timing and
+        # nothing above the solver's magnitude bound.
+        with pytest.raises(ConfigError, match="round trips"):
+            basic_config(timing=TimingModel(mode=ONE_WAY))
+        with pytest.raises(ConfigError, match="at most 1e\\+75"):
+            basic_config(towers=(TowerSite(0, Point3(1e200, 0, 0)),) + RIGHT_TRIANGLE[1:])
+        with pytest.raises(ConfigError, match="at most 1e\\+75"):
+            basic_config(mobile_true_position=Point3(0, 0, 1e200))
 
 
 class TestRenderers:
