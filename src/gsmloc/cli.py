@@ -119,8 +119,17 @@ def _read_input(path: Path) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
+def _integer(mapping: dict, key: str, default: int) -> int:
+    """mapping[key] (default if absent), which must be a JSON integer: a bool,
+    a string or a number with a fraction or exponent is rejected, not truncated."""
+    value = mapping.get(key, default)
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
-    """Parse a scenario config file (JSON) into a ScenarioConfig plus the raw payload.
+    """Map a scenario config file (JSON) onto a ScenarioConfig; return it with the raw payload.
 
     Towers come either from an explicit site list or from hex layout
     parameters:
@@ -128,7 +137,10 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
         {"towers": {"sites": [{"id": 0, "position": [0, 0, 0]}, ...]}, ...}
         {"towers": {"hex": {"center": [0, 0, 0], "radius": 3000, "rings": 1}}, ...}
 
-    TimingModel and ScenarioConfig check what the simulator can run.
+    Only the JSON shape is checked here: rings, id, seed and trials must be
+    JSON integers. What the simulator can run (the timing mode, the
+    magnitude bound, the other knobs) is TimingModel's and ScenarioConfig's
+    to check; their errors reach the caller as ConfigError.
     """
     text = _read_input(path)
     try:
@@ -143,13 +155,13 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
                 hex_cell_layout(
                     Point3(*hexspec["center"]),
                     float(hexspec["radius"]),
-                    int(hexspec.get("rings", 1)),
+                    _integer(hexspec, "rings", 1),
                 )
             )
         elif "sites" in towers_spec:
             towers = tuple(
                 TowerSite(
-                    int(site.get("id", index)),
+                    _integer(site, "id", index),
                     Point3(*site["position"]),
                 )
                 for index, site in enumerate(towers_spec["sites"])
@@ -168,8 +180,8 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
             mobile_true_position=Point3(*raw["mobile"]),
             timing=timing,
             tower_processing_delay=float(raw.get("tower_processing_delay", 0.0)),
-            rng_seed=int(raw.get("seed", 0)),
-            trials=int(raw.get("trials", 1)),
+            rng_seed=_integer(raw, "seed", 0),
+            trials=_integer(raw, "trials", 1),
             request_time=float(raw.get("request_time", 0.0)),
             packet_loss=float(raw.get("packet_loss", 0.0)),
         )

@@ -13,6 +13,9 @@ arrivals sorted by (time, kind, tower id), which makes traces
 byte-reproducible. Randomness enters only through the optional packet-loss
 knob, drawn from a PRNG seeded by (rng_seed, trial_index), making every
 trial a pure function of its config.
+
+ScenarioConfig holds every rule for what can be simulated, so a library
+caller and the CLI get the same errors.
 """
 
 from __future__ import annotations
@@ -72,12 +75,18 @@ class Trace:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulated exchange: geometry, timing, and reproducibility knobs.
+    """One simulated exchange: geometry, timing, seed and packet loss.
 
     tower_processing_delay is the fixed per-tower turnaround applied before
     the ack leaves; at the mobile it is indistinguishable from any other
     constant delay, so recovery is exact when timing.alpha equals it.
     packet_loss is an extension beyond the basic protocol and defaults off.
+
+    Raises ConfigError for what the simulator cannot run, whoever builds
+    the config: fewer than 3 towers, repeated tower ids, a timing mode
+    other than round_trip, a tower or mobile coordinate above
+    trilateration.MAX_MAGNITUDE, trials below 1, a negative or non-finite
+    tower_processing_delay or request_time, or packet_loss outside [0, 1].
     """
 
     towers: tuple[TowerSite, ...]

@@ -186,7 +186,9 @@ def _check_not_collinear(positions: list[Vector3]) -> Vector3:
         (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]),
         (p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2]),
     )
-    area = _length(normal) / 2.0
+    # hypot, because the squares in _length underflow to 0 for towers about
+    # 1e-100 m apart, which would call any such triangle collinear.
+    area = math.hypot(*normal) / 2.0
     max_side = max(math.dist(p, q) for p, q in itertools.combinations(positions, 2))
     if max_side == 0.0 or area < _COLLINEARITY_REL_AREA * max_side * max_side:
         raise DegenerateGeometryError(

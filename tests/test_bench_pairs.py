@@ -70,3 +70,46 @@ def test_table_has_a_line_per_metric():
     assert lines[0].split() == ["workload", "metric", "parent", "change", "wins", "verdict"]
     assert lines[1].split() == ["locate-batch", "ops_per_s", "100", "140", "10/10", "gain"]
     assert lines[2].split() == ["locate-batch", "op_ms.p50", "100", "100", "0/10", "within"]
+
+
+def runs(failed, attempted=1000, correct=True, n=10):
+    return [{"correct": correct, "attempted": attempted, "failed": failed} for _ in range(n)]
+
+
+def test_ops_counts_per_side():
+    entry = bench_pairs.operations({"parent": runs(2), "change": runs(1)})
+    assert entry["attempted"] == {"parent": 10000, "change": 10000}
+    assert entry["failed_ops"] == {"parent": 20, "change": 10}
+    assert entry["correct"] == {"parent": 10, "change": 10}
+    assert entry["ops_verdict"] == "within"
+
+
+@pytest.mark.parametrize(
+    "change, verdict",
+    [
+        (runs(0), "within"),
+        (runs(2), "within"),  # the same share
+        (runs(4, attempted=2000), "within"),  # more failures, but a smaller share
+        (runs(3), "worse"),
+        (runs(7, attempted=3000), "worse"),  # 0.233% against 0.2%
+        (runs(0)[:-1] + runs(0, correct=False, n=1), "worse"),
+    ],
+)
+def test_ops_verdict_is_the_failed_share_and_correctness(change, verdict):
+    assert bench_pairs.operations({"parent": runs(2), "change": change})["ops_verdict"] == verdict
+
+
+def test_a_parent_run_that_is_not_correct_does_not_make_the_change_worse():
+    parent = runs(0)[:-1] + runs(0, correct=False, n=1)
+    assert bench_pairs.operations({"parent": parent, "change": runs(0)})["ops_verdict"] == "within"
+
+
+def test_table_has_an_ops_line_per_workload():
+    result = {
+        "pairs": 10,
+        **bench_pairs.operations({"parent": runs(0), "change": runs(3)}),
+        "metrics": {"ops_per_s": bench_pairs.compare(PARENT, PARENT, OPS)},
+    }
+    lines = bench_pairs.verdict_table({"sim-sweep": result}).splitlines()
+    assert lines[1].split() == ["sim-sweep", "ops_per_s", "100", "100", "0/10", "within"]
+    assert lines[2].split() == ["sim-sweep", "failed_ops", "0/10000", "30/10000", "10/10", "worse"]

@@ -178,8 +178,16 @@ class TestSimulate:
             {"timing": dict(HEX_CONFIG["timing"], mode="one_way")},
             {"timing": dict(HEX_CONFIG["timing"], clock_resolution=1e-9), "request_time": 1e300},
             {"timing": []},
+            {"towers": {"hex": {"center": [0, 0, 0], "radius": 500.0, "rings": 1.9}}},
+            {"seed": 3.7},
+            {"trials": 1.9},
+            {"seed": True},
+            {"towers": {"sites": [{"id": "0", "position": [0, 0, 0]}, {"position": [9, 0, 0]}, {"position": [0, 9, 0]}]}},
         ],
-        ids=["huge-sites", "huge-hex", "huge-mobile", "one-way", "clock-overflows", "timing-list"],
+        ids=[
+            "huge-sites", "huge-hex", "huge-mobile", "one-way", "clock-overflows", "timing-list",
+            "rings-fraction", "seed-fraction", "trials-fraction", "seed-bool", "id-string",
+        ],
     )
     def test_unrunnable_config_exit_2(self, tmp_path, capsys, override):
         config = write_config(tmp_path / "scenario.json", dict(HEX_CONFIG, **override))
@@ -411,6 +419,26 @@ class TestLocate:
             " (its normal has length 0)\n"
         )
         assert result.stdout == ""
+        assert not out.exists()
+
+    def test_tiny_triangle_is_not_called_collinear(self, tmp_path):
+        # A right triangle with 1e-100 m legs: the squares of its normal's
+        # components underflow, but its area does not, so the towers are not
+        # collinear. Warnings are errors, as in the test above.
+        rows = tmp_path / "rows.txt"
+        rows.write_text("0 0 0 0 1e75\n1 1e-100 0 0 1\n2 0 1e-100 0 1\n")
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gsmloc.cli", "locate", str(rows), "-o", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: degenerate geometry: ")
+        assert result.stderr.count("\n") == 1
+        assert "collinear" not in result.stderr
         assert not out.exists()
 
     @given(

@@ -24,6 +24,13 @@ printed as a table on stdout:
             metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
             parent's median;
     within  anything else.
+
+Each workload also records, per side, its correct runs and its attempted
+and failed operations, and gets an ``ops_verdict``: ``worse`` when the
+change failed a larger share of its attempted operations than the parent
+did, or when any change run is not correct; ``within`` otherwise. Its line
+in the table shows failed/attempted operations per side and, under
+``wins``, the change's correct runs.
 """
 
 from __future__ import annotations
@@ -94,8 +101,28 @@ def compare(parent: list[float], change: list[float], spec: dict) -> dict:
     return {"unit": spec["unit"], "better": spec["better"], **sides, "change_wins": wins, "verdict": verdict}
 
 
+def operations(runs: dict) -> dict:
+    """A workload's operation counts per side and its ops verdict.
+
+    runs maps each side to its runs' result lines.
+    """
+    totals = {
+        key: {side: sum(run[field] for run in runs[side]) for side in SIDES}
+        for key, field in (("correct", "correct"), ("attempted", "attempted"), ("failed_ops", "failed"))
+    }
+    failed, attempted = totals["failed_ops"], totals["attempted"]
+    # The failed shares compared without a division, which a side with no attempted op would fail.
+    larger_share = failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]
+    worse = larger_share or not all(run["correct"] for run in runs["change"])
+    return {**totals, "ops_verdict": "worse" if worse else "within"}
+
+
 def verdict_table(results: dict) -> str:
-    """The verdicts of a report's ``workloads`` section, one metric a line."""
+    """The verdicts of a report's ``workloads`` section, one metric a line.
+
+    A workload with an ops verdict gets one more line; reports written
+    before it existed (BENCH_6.json, BENCH_7.json) have none.
+    """
     lines = [f"{'workload':<14} {'metric':<12} {'parent':>12} {'change':>12} {'wins':>7}  verdict"]
     for workload, result in results.items():
         for name, metric in result["metrics"].items():
@@ -103,6 +130,12 @@ def verdict_table(results: dict) -> str:
                 f"{workload:<14} {name:<12} {metric['parent']['median']:>12.5g}"
                 f" {metric['change']['median']:>12.5g} {metric['change_wins']:>3}/{result['pairs']:<3}"
                 f"  {metric['verdict']}"
+            )
+        if "ops_verdict" in result:
+            failed = {side: f"{result['failed_ops'][side]}/{result['attempted'][side]}" for side in SIDES}
+            lines.append(
+                f"{workload:<14} {'failed_ops':<12} {failed['parent']:>12} {failed['change']:>12}"
+                f" {result['correct']['change']:>3}/{result['pairs']:<3}  {result['ops_verdict']}"
             )
     return "\n".join(lines) + "\n"
 
@@ -156,12 +189,7 @@ def main() -> int:
                 if not all(len(v) == args.pairs for v in values.values()):
                     continue  # a metric left out of some run, e.g. latencies with no result
                 metrics[name] = compare(values["parent"], values["change"], spec)
-            results[workload] = {
-                "pairs": args.pairs,
-                "correct": {side: sum(run["correct"] for run in runs[side]) for side in SIDES},
-                "failed_ops": {side: sum(run["failed"] for run in runs[side]) for side in SIDES},
-                "metrics": metrics,
-            }
+            results[workload] = {"pairs": args.pairs, **operations(runs), "metrics": metrics}
 
     report = {
         "commits": commits,
