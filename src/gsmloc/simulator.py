@@ -14,8 +14,9 @@ byte-reproducible. Randomness enters only through the optional packet-loss
 knob, drawn from a PRNG seeded by (rng_seed, trial_index), making every
 trial a pure function of its config.
 
-ScenarioConfig holds every rule for what can be simulated, so a library
-caller and the CLI get the same errors.
+ScenarioConfig rejects a config the simulator cannot run, so a library
+caller gets the ConfigError the CLI reports. Only a clock too fine to
+count to the simulated times shows later, when the arrivals are quantized.
 """
 
 from __future__ import annotations
