@@ -212,10 +212,12 @@ class TestSimulate:
             out_a / "simulate_manifest.json"
         ) == manifest_without_timestamp(out_b / "simulate_manifest.json")
 
-    @pytest.mark.parametrize("name", ["lossless", "lossy"])
+    @pytest.mark.parametrize("name", ["lossless", "lossy", "lossy_hex"])
     def test_matches_goldens(self, tmp_path, golden_dir, name):
         # lossy: seed 1 loses the request to tower 5 and the ack from
         # tower 0, and towers 3/7 and 2/6 tie in distance.
+        # lossy_hex: a 90-tower cell where seed 5 loses 10 requests (one of
+        # them to tower 4, among the nearest three) and 9 acks.
         config = golden_dir.parent / f"simulate_{name}.json"
         out = tmp_path / "out"
         assert main(["simulate", str(config), "-o", str(out)]) == 0

@@ -289,6 +289,29 @@ def scenario_configs(draw):
     )
 
 
+@st.composite
+def hex_configs(draw):
+    """Hex cells of 1-5 rings (6 to 90 towers) with up to 50% packet loss.
+
+    Large cells make both batches of loss draws long, which the small
+    configs above never do.
+    """
+    radius = draw(st.sampled_from([500.0, 3000.0]))
+    rings = draw(st.integers(1, 5))
+    towers = tuple(hex_cell_layout(Point3(0.0, 0.0, 0.0), radius, rings))
+    coord = st.floats(-rings * radius, rings * radius)
+    delay = draw(st.sampled_from([0.0, 1e-6]))
+    return ScenarioConfig(
+        towers=towers,
+        mobile_true_position=Point3(draw(coord), draw(coord), 0.0),
+        timing=TimingModel(alpha=delay, clock_resolution=draw(st.sampled_from([0.0, 1e-9, 1e-8, 1e-7]))),
+        tower_processing_delay=delay,
+        rng_seed=draw(st.integers(0, 2**31)),
+        request_time=draw(st.sampled_from([0.0, 0.25])),
+        packet_loss=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+    )
+
+
 def _outcome(run, render, config, trial_index):
     try:
         trace, measurements, fix = run(config, trial_index)
@@ -302,6 +325,14 @@ class TestHeapOracle:
     @settings(max_examples=300, deadline=None)
     @given(scenario_configs())
     def test_matches_heap_engine(self, config):
+        for trial_index in (0, 1, 7):
+            assert _outcome(run_scenario, format_trace, config, trial_index) == _outcome(
+                oracle.run_scenario, oracle.format_trace, config, trial_index
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(hex_configs())
+    def test_matches_heap_engine_on_hex_cells(self, config):
         for trial_index in (0, 1, 7):
             assert _outcome(run_scenario, format_trace, config, trial_index) == _outcome(
                 oracle.run_scenario, oracle.format_trace, config, trial_index
