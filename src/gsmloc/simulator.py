@@ -10,9 +10,13 @@ for its position.
 Propagation is straight-line at the timing model's speed with no fading or
 multipath, so every arrival time has a closed form and the trace is those
 arrivals sorted by (time, kind, tower id), which makes traces
-byte-reproducible. Randomness enters only through the optional packet-loss
-knob, drawn from a PRNG seeded by (rng_seed, trial_index), making every
-trial a pure function of its config.
+byte-reproducible. An Event is a tuple in exactly that field order, so the
+trace order is the events' natural order and a plain sort gives it.
+Randomness enters only through the optional packet-loss knob, drawn from a
+PRNG seeded by (rng_seed, trial_index), making every trial a pure function
+of its config. The loss draws come in two batches, one for the requests and
+one for the acks; numpy's Generator.random(n) yields the same doubles as n
+scalar calls, so the batches equal one draw per packet in the same order.
 
 ScenarioConfig rejects a config the simulator cannot run, so a library
 caller gets the ConfigError the CLI reports. Only a clock too fine to
@@ -22,8 +26,10 @@ count to the simulated times shows later, when the arrivals are quantized.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +49,10 @@ class EventKind(IntEnum):
     ACK_ARRIVES = 1
 
 
+REQUEST_ARRIVES = EventKind.REQUEST_ARRIVES
+ACK_ARRIVES = EventKind.ACK_ARRIVES
+
+
 @dataclass(frozen=True)
 class RequestPacket:
     """Mobile's broadcast: the send timestamp plus its own identifier."""
@@ -51,12 +61,15 @@ class RequestPacket:
     mob_id: str
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One arrival in the exchange, as recorded in the trace.
 
     Both kinds carry the mobile's request: an ack echoes it unmodified, and
     the acking tower's position is the trace's site with id tower_id.
+
+    As a tuple, events order by (time, kind, tower_id), which is the trace
+    order. Ties never reach payload: tower ids are unique and each tower
+    has at most one event of each kind.
     """
 
     time: float
@@ -122,6 +135,12 @@ class ScenarioConfig:
             raise ConfigError("request_time must be non-negative and finite")
 
 
+def _survivors(packets: Sequence, rng: np.random.Generator, loss: float) -> list:
+    """The packets not lost: one draw per packet, in order; a draw below loss loses it."""
+    draws = rng.random(len(packets)).tolist()
+    return [packet for packet, draw in zip(packets, draws) if draw >= loss]
+
+
 def run_scenario(
     config: ScenarioConfig, trial_index: int = 0
 ) -> tuple[Trace, list[RangeMeasurement], LocationFix]:
@@ -130,9 +149,11 @@ def run_scenario(
     For tower i at distance d_i the request arrives at t0 + d_i/c and the
     ack returns at (t0 + d_i/c) + tower_processing_delay + d_i/c. Each
     distance is computed once. With packet loss, request losses are drawn
-    in tower order, then ack losses in request-arrival order (ties by
-    tower id); the trace is all surviving arrivals sorted by (time, kind,
-    tower id). Ack arrival timestamps pass through the mobile clock's
+    in one batch in tower order, then ack losses in one batch in
+    request-arrival order (ties by tower id); the batches give the same
+    losses as one draw per packet in that order. The trace is all
+    surviving arrivals sorted by (time, kind, tower id), the events'
+    natural order. Ack arrival timestamps pass through the mobile clock's
     quantization before the turn-around time is formed, so a coarse clock
     degrades the ranges exactly as a real kernel timestamp would.
 
@@ -145,30 +166,31 @@ def run_scenario(
         InsufficientMeasurementsError: fewer than 3 acks arrived (reachable
             only with packet_loss > 0).
     """
-    rng = np.random.default_rng([config.rng_seed, trial_index])
-    lossy = config.packet_loss > 0.0
+    loss = config.packet_loss
     c = config.timing.c
     t0 = config.request_time
+    mobile = config.mobile_true_position
     request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
 
+    towers = config.towers
+    if loss > 0.0:
+        rng = np.random.default_rng([config.rng_seed, trial_index])
+        towers = _survivors(towers, rng, loss)
     requests = []
-    for tower in config.towers:
-        if lossy and rng.random() < config.packet_loss:
-            continue
-        d = distance(config.mobile_true_position, tower.position)
+    for tower in towers:
+        d = distance(mobile, tower.position)
         requests.append((t0 + d / c, tower.id, d))
     requests.sort()
 
-    events = [
-        Event(arrival, EventKind.REQUEST_ARRIVES, tower_id, request) for arrival, tower_id, _ in requests
+    events = [Event(arrival, REQUEST_ARRIVES, tower_id, request) for arrival, tower_id, _ in requests]
+    if loss > 0.0:
+        requests = _survivors(requests, rng, loss)
+    delay = config.tower_processing_delay
+    # Summed in this order, not as t0 + 2*d/c + delay: the rounding shows in traces.
+    events += [
+        Event(arrival + delay + d / c, ACK_ARRIVES, tower_id, request) for arrival, tower_id, d in requests
     ]
-    for arrival, tower_id, d in requests:
-        if lossy and rng.random() < config.packet_loss:
-            continue
-        # Summed in this order, not as t0 + 2*d/c + delay: the rounding shows in traces.
-        ack_arrival = arrival + config.tower_processing_delay + d / c
-        events.append(Event(ack_arrival, EventKind.ACK_ARRIVES, tower_id, request))
-    events.sort(key=lambda e: (e.time, e.kind, e.tower_id))
+    events.sort()
 
     trace = Trace(events=tuple(events), timing=config.timing, towers=config.towers)
     measurements = first_k_acks(trace, 3)
@@ -203,16 +225,17 @@ def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    acks = [e for e in trace.events if e.kind is EventKind.ACK_ARRIVES]
+    acks = [e for e in trace.events if e.kind is ACK_ARRIVES]
     if len(acks) < k:
         raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
     site_by_id = {t.id: t for t in trace.towers}
+    timing = trace.timing
+    resolution = timing.clock_resolution
     measurements = []
-    for event in acks[:k]:
-        measured_arrival = quantize(event.time, trace.timing.clock_resolution)
-        turnaround = measured_arrival - event.payload.timestamp
-        range_m = distance_from_turnaround(turnaround, trace.timing)
-        measurements.append(RangeMeasurement(site_by_id[event.tower_id], turnaround, range_m))
+    for time, _, tower_id, payload in acks[:k]:
+        turnaround = quantize(time, resolution) - payload.timestamp
+        range_m = distance_from_turnaround(turnaround, timing)
+        measurements.append(RangeMeasurement(site_by_id[tower_id], turnaround, range_m))
     return measurements
 
 
@@ -225,18 +248,19 @@ def format_trace(trace: Trace) -> str:
     """
     position_by_id = {t.id: t.position for t in trace.towers}
     lines = []
-    for event in trace.events:
-        if event.kind is EventKind.REQUEST_ARRIVES:
-            kind = "request_arrives"
-            detail = f"mob={event.payload.mob_id} sent={event.payload.timestamp:.9f}"
+    last = None
+    for time, kind, tower_id, payload in trace.events:
+        if payload is not last:  # every event of a simulated trace shares one payload
+            last = payload
+            sent = f"mob={payload.mob_id} sent={payload.timestamp:.9f}"
+            echo = f"echo={payload.timestamp:.9f}"
+        if kind is REQUEST_ARRIVES:
+            lines.append(f"{time:.9f}\trequest_arrives\t{tower_id}\t{sent}")
         else:
-            kind = "ack_arrives"
-            pos = position_by_id[event.tower_id]
-            detail = (
-                f"echo={event.payload.timestamp:.9f}"
-                f" tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
+            pos = position_by_id[tower_id]
+            lines.append(
+                f"{time:.9f}\tack_arrives\t{tower_id}\t{echo} tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
             )
-        lines.append(f"{event.time:.9f}\t{kind}\t{event.tower_id}\t{detail}")
     return "\n".join(lines) + "\n"
 
 
