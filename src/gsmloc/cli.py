@@ -128,6 +128,19 @@ def _integer(mapping: dict, key: str, default: int) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """value as a float, which must be a JSON number: a bool or a string is
+    rejected, not converted."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _point(values, key: str) -> Point3:
+    """A point from a JSON list of three numbers."""
+    return Point3(*(_number(v, f"{key}[{i}]") for i, v in enumerate(values)))
+
+
 def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
     """Map a scenario config file (JSON) onto a ScenarioConfig; return it with the raw payload.
 
@@ -138,9 +151,12 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
         {"towers": {"hex": {"center": [0, 0, 0], "radius": 3000, "rings": 1}}, ...}
 
     Only the JSON shape is checked here: rings, id, seed and trials must be
-    JSON integers. What the simulator can run (the timing mode, the
-    magnitude bound, the other knobs) is TimingModel's and ScenarioConfig's
-    to check; their errors reach the caller as ConfigError.
+    JSON integers, and every other number (the timing fields, radius,
+    tower_processing_delay, request_time, packet_loss and each coordinate)
+    a JSON integer or float. What the simulator can run (the timing mode,
+    the magnitude bound, the ring bound, the other knobs) is TimingModel's,
+    hex_cell_layout's and ScenarioConfig's to check; their errors reach the
+    caller as ConfigError.
     """
     text = _read_input(path)
     try:
@@ -153,8 +169,8 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
             hexspec = towers_spec["hex"]
             towers = tuple(
                 hex_cell_layout(
-                    Point3(*hexspec["center"]),
-                    float(hexspec["radius"]),
+                    _point(hexspec["center"], "center"),
+                    _number(hexspec["radius"], "radius"),
                     _integer(hexspec, "rings", 1),
                 )
             )
@@ -162,7 +178,7 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
             towers = tuple(
                 TowerSite(
                     _integer(site, "id", index),
-                    Point3(*site["position"]),
+                    _point(site["position"], "position"),
                 )
                 for index, site in enumerate(towers_spec["sites"])
             )
@@ -170,24 +186,24 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
             raise ConfigError("towers section needs either 'hex' or 'sites'")
         timing_raw = raw.get("timing", {})
         timing = TimingModel(
-            alpha=float(timing_raw.get("alpha", 0.0)),
-            c=float(timing_raw.get("c", SPEED_OF_LIGHT)),
+            alpha=_number(timing_raw.get("alpha", 0.0), "alpha"),
+            c=_number(timing_raw.get("c", SPEED_OF_LIGHT), "c"),
             mode=timing_raw.get("mode", ROUND_TRIP),
-            clock_resolution=float(timing_raw.get("clock_resolution", 0.0)),
+            clock_resolution=_number(timing_raw.get("clock_resolution", 0.0), "clock_resolution"),
         )
         config = ScenarioConfig(
             towers=towers,
-            mobile_true_position=Point3(*raw["mobile"]),
+            mobile_true_position=_point(raw["mobile"], "mobile"),
             timing=timing,
-            tower_processing_delay=float(raw.get("tower_processing_delay", 0.0)),
+            tower_processing_delay=_number(raw.get("tower_processing_delay", 0.0), "tower_processing_delay"),
             rng_seed=_integer(raw, "seed", 0),
             trials=_integer(raw, "trials", 1),
-            request_time=float(raw.get("request_time", 0.0)),
-            packet_loss=float(raw.get("packet_loss", 0.0)),
+            request_time=_number(raw.get("request_time", 0.0), "request_time"),
+            packet_loss=_number(raw.get("packet_loss", 0.0), "packet_loss"),
         )
     except ConfigError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"config {path} is malformed: {exc}") from exc
     return config, raw
 

@@ -45,6 +45,10 @@ def distance(a: Point3, b: Point3) -> float:
     return math.dist(a.as_tuple(), b.as_tuple())
 
 
+# The most rings hex_cell_layout builds: 3 * 100 * 101 = 30300 towers.
+MAX_RINGS = 100
+
+
 def hex_cell_layout(center: Point3, radius: float, n_rings: int = 1) -> list[TowerSite]:
     """Place towers on concentric hexagonal rings around a center point.
 
@@ -56,15 +60,15 @@ def hex_cell_layout(center: Point3, radius: float, n_rings: int = 1) -> list[Tow
     Args:
         center: Cell center (typically the mobile's nominal position).
         radius: Ring spacing in meters; must be positive.
-        n_rings: Number of rings, >= 1.
+        n_rings: Number of rings, 1 to MAX_RINGS.
 
     Returns:
         List of TowerSite, 6 * n_rings * (n_rings + 1) / 2 entries.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if n_rings < 1:
-        raise ValueError(f"n_rings must be >= 1, got {n_rings}")
+    if not 1 <= n_rings <= MAX_RINGS:
+        raise ValueError(f"n_rings must be in [1, {MAX_RINGS}], got {n_rings}")
     sites: list[TowerSite] = []
     next_id = 0
     for ring in range(1, n_rings + 1):

@@ -183,10 +183,26 @@ class TestSimulate:
             {"trials": 1.9},
             {"seed": True},
             {"towers": {"sites": [{"id": "0", "position": [0, 0, 0]}, {"position": [9, 0, 0]}, {"position": [0, 9, 0]}]}},
+            {"towers": {"hex": {"center": [0, 0, 0], "radius": "500", "rings": 1}}},
+            {"towers": {"hex": {"center": [0, "0", 0], "radius": 500.0, "rings": 1}}},
+            {"towers": {"sites": [{"position": [0, 0, 0]}, {"position": [9, False, 0]}, {"position": [0, 9, 0]}]}},
+            {"mobile": [True, 60, 0]},
+            {"timing": dict(HEX_CONFIG["timing"], alpha="0")},
+            {"timing": dict(HEX_CONFIG["timing"], c="3e8")},
+            {"timing": dict(HEX_CONFIG["timing"], clock_resolution=None)},
+            {"tower_processing_delay": "0"},
+            {"request_time": [0.25]},
+            {"packet_loss": "0.0"},
+            {"packet_loss": True},
+            {"request_time": 10**400},
+            {"towers": {"hex": {"center": [0, 0, 0], "radius": 500.0, "rings": 101}}},
         ],
         ids=[
             "huge-sites", "huge-hex", "huge-mobile", "one-way", "clock-overflows", "timing-list",
             "rings-fraction", "seed-fraction", "trials-fraction", "seed-bool", "id-string",
+            "radius-string", "center-string", "position-bool", "mobile-bool", "alpha-string", "c-string",
+            "clock-null", "delay-string", "request-time-list", "loss-string", "loss-bool", "int-overflows-float",
+            "rings-101",
         ],
     )
     def test_unrunnable_config_exit_2(self, tmp_path, capsys, override):
@@ -197,6 +213,20 @@ class TestSimulate:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"packet_loss": True}, "packet_loss must be a number, got True"),
+            ({"timing": dict(HEX_CONFIG["timing"], c="3e8")}, "c must be a number, got '3e8'"),
+            ({"mobile": [120.0, None, 0.0]}, "mobile[1] must be a number, got None"),
+        ],
+        ids=["loss-bool", "c-string", "mobile-null"],
+    )
+    def test_non_number_field_names_the_key(self, tmp_path, capsys, override, message):
+        config = write_config(tmp_path / "scenario.json", dict(HEX_CONFIG, **override))
+        assert main(["simulate", str(config), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json"), "-o", str(tmp_path)]) == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gsmloc.geometry import Point3, TowerSite, distance, hex_cell_layout
+from gsmloc.geometry import MAX_RINGS, Point3, TowerSite, distance, hex_cell_layout
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 points = st.builds(Point3, coords, coords, coords)
@@ -80,3 +80,8 @@ class TestHexCellLayout:
             hex_cell_layout(Point3(0, 0, 0), -3.0, 1)
         with pytest.raises(ValueError):
             hex_cell_layout(Point3(0, 0, 0), 10.0, 0)
+
+    def test_ring_bound(self):
+        assert len(hex_cell_layout(Point3(0, 0, 0), 10.0, MAX_RINGS)) == 3 * MAX_RINGS * (MAX_RINGS + 1)
+        with pytest.raises(ValueError, match="n_rings must be in \\[1, 100\\], got 101"):
+            hex_cell_layout(Point3(0, 0, 0), 10.0, MAX_RINGS + 1)
