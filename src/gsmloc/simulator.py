@@ -49,6 +49,7 @@ class EventKind(IntEnum):
     ACK_ARRIVES = 1
 
 
+# Bound once: a member lookup on the enum class costs more than the comparison.
 REQUEST_ARRIVES = EventKind.REQUEST_ARRIVES
 ACK_ARRIVES = EventKind.ACK_ARRIVES
 
