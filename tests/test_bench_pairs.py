@@ -113,3 +113,31 @@ def test_table_has_an_ops_line_per_workload():
     lines = bench_pairs.verdict_table({"sim-sweep": result}).splitlines()
     assert lines[1].split() == ["sim-sweep", "ops_per_s", "100", "100", "0/10", "within"]
     assert lines[2].split() == ["sim-sweep", "failed_ops", "0/10000", "30/10000", "10/10", "worse"]
+
+
+PER_LAYER = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+
+
+def traced_run(**values):
+    return {"correct": True, "attempted": 1, "failed": 0,
+            "metrics": {name: {"value": value, "unit": "s"} for name, value in values.items()}}
+
+
+def test_per_layer_keeps_each_side_in_benchmark_order_without_a_verdict():
+    runs = {
+        "parent": traced_run(**{"simulator.us_per_event": 2.2, "simulator.run_scenario.self.s": 4e-4}),
+        "change": traced_run(**{"simulator.run_scenario.self.s": 2e-4, "simulator.us_per_event": 0.8}),
+    }
+    entry = bench_pairs.per_layer(runs, PER_LAYER)
+    assert list(entry) == ["simulator.run_scenario.self.s", "simulator.us_per_event"]
+    assert entry["simulator.run_scenario.self.s"] == {"unit": "s", "better": "lower", "parent": 4e-4, "change": 2e-4}
+    assert entry["simulator.us_per_event"] == {"unit": "us", "better": "lower", "parent": 2.2, "change": 0.8}
+
+
+def test_per_layer_leaves_out_a_metric_one_side_lacks():
+    runs = {
+        "parent": traced_run(**{"simulator.events": 117.0, "simulator.render.s": 4.7e-4}),
+        "change": traced_run(**{"simulator.events": 117.0}),
+    }
+    assert list(bench_pairs.per_layer(runs, PER_LAYER)) == ["simulator.events"]
+

@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \
-        --seeds 2 --out BENCH_6.json
+        --seeds 2 --trace-seed 2 --out BENCH_9.json
 
 Each commit is exported with ``git archive`` into its own temporary
 directory, so uncommitted files never take part. For every workload in the
@@ -31,6 +31,13 @@ change failed a larger share of its attempted operations than the parent
 did, or when any change run is not correct; ``within`` otherwise. Its line
 in the table shows failed/attempted operations per side and, under
 ``wins``, the change's correct runs.
+
+With ``--trace-seed S``, each workload also gets one traced run
+(``perfbench/run.py --trace 1``, seed S) per side, parent first, after its
+pairs. Its per-layer metrics, those named under ``per_layer`` in
+``BENCHMARK.json``, go under the workload's ``per_layer`` with the value
+of each side. They get no verdict: one traced run is a breakdown of where
+the time goes, not a gate.
 """
 
 from __future__ import annotations
@@ -63,11 +70,11 @@ def export(commit: str, dest: Path) -> str:
     return commit_id
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``tree``; its result line."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``; its result line."""
     child = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, timeout=600,
     )
     lines = child.stdout.strip().splitlines()
@@ -117,6 +124,24 @@ def operations(runs: dict) -> dict:
     return {**totals, "ops_verdict": "worse" if worse else "within"}
 
 
+def per_layer(runs: dict, specs: list[dict]) -> dict:
+    """Each per-layer metric of one traced run per side, without a verdict.
+
+    runs maps each side to its traced run's result line; specs is the
+    ``per_layer`` list of ``BENCHMARK.json``. A metric missing from either
+    run is left out.
+    """
+    return {
+        spec["name"]: {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            **{side: runs[side]["metrics"][spec["name"]]["value"] for side in SIDES},
+        }
+        for spec in specs
+        if all(spec["name"] in runs[side]["metrics"] for side in SIDES)
+    }
+
+
 def verdict_table(results: dict) -> str:
     """The verdicts of a report's ``workloads`` section, one metric a line.
 
@@ -158,6 +183,8 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seeds", default="1", help="comma-separated workload seeds, used in turn")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    parser.add_argument("--trace-seed", type=int, default=None,
+                        help="also make one traced run per side per workload on this seed")
     args = parser.parse_args()
     seeds = [int(seed) for seed in args.seeds.split(",")]
     if args.pairs < 1:
@@ -190,10 +217,17 @@ def main() -> int:
                     continue  # a metric left out of some run, e.g. latencies with no result
                 metrics[name] = compare(values["parent"], values["change"], spec)
             results[workload] = {"pairs": args.pairs, **operations(runs), "metrics": metrics}
+            if args.trace_seed is not None:
+                traced = {
+                    side: run_once(trees[side], workload, args.trace_seed, benchmark["run_seconds"], trace=1)
+                    for side in SIDES
+                }
+                results[workload]["per_layer"] = per_layer(traced, benchmark["per_layer"])
 
     report = {
         "commits": commits,
         "seeds": seeds,
+        "trace_seed": args.trace_seed,
         "run_seconds": benchmark["run_seconds"],
         "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "host": {
