@@ -141,6 +141,17 @@ def _point(values, key: str) -> Point3:
     return Point3(*(_number(v, f"{key}[{i}]") for i, v in enumerate(values)))
 
 
+def _fields(value, where: str, keys: tuple[str, ...]) -> dict:
+    """value, which must be a JSON object with no key outside keys: a
+    misspelt key is rejected, not ignored."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{where} has unknown key {key!r}; known keys: {', '.join(keys)}")
+    return value
+
+
 def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
     """Map a scenario config file (JSON) onto a ScenarioConfig; return it with the raw payload.
 
@@ -150,11 +161,14 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
         {"towers": {"sites": [{"id": 0, "position": [0, 0, 0]}, ...]}, ...}
         {"towers": {"hex": {"center": [0, 0, 0], "radius": 3000, "rings": 1}}, ...}
 
-    Only the JSON shape is checked here: rings, id, seed and trials must be
-    JSON integers, and every other number (the timing fields, radius,
-    tower_processing_delay, request_time, packet_loss and each coordinate)
-    a JSON integer or float. What the simulator can run (the timing mode,
-    the magnitude bound, the ring bound, the other knobs) is TimingModel's,
+    Only the JSON shape is checked here. The config, towers, hex, each site
+    and timing must be JSON objects naming no key but those read here (a
+    misspelt key is an error, not a default), and towers holds exactly one
+    of hex and sites. rings, id, seed and trials must be JSON integers, and
+    every other number (the timing fields, radius, tower_processing_delay,
+    request_time, packet_loss and each coordinate) a JSON integer or
+    float. What the simulator can run (the timing mode, the magnitude
+    bound, the ring bound, the other knobs) is TimingModel's,
     hex_cell_layout's and ScenarioConfig's to check; their errors reach the
     caller as ConfigError.
     """
@@ -164,9 +178,13 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     try:
-        towers_spec = raw["towers"]
+        top = ("towers", "mobile", "timing", "tower_processing_delay", "seed", "trials", "request_time", "packet_loss")
+        _fields(raw, "config", top)
+        towers_spec = _fields(raw["towers"], "towers", ("hex", "sites"))
+        if len(towers_spec) != 1:
+            raise ConfigError("towers section needs exactly one of 'hex' and 'sites'")
         if "hex" in towers_spec:
-            hexspec = towers_spec["hex"]
+            hexspec = _fields(towers_spec["hex"], "towers.hex", ("center", "radius", "rings"))
             towers = tuple(
                 hex_cell_layout(
                     _point(hexspec["center"], "center"),
@@ -174,17 +192,13 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
                     _integer(hexspec, "rings", 1),
                 )
             )
-        elif "sites" in towers_spec:
-            towers = tuple(
-                TowerSite(
-                    _integer(site, "id", index),
-                    _point(site["position"], "position"),
-                )
-                for index, site in enumerate(towers_spec["sites"])
-            )
         else:
-            raise ConfigError("towers section needs either 'hex' or 'sites'")
-        timing_raw = raw.get("timing", {})
+            sites = []
+            for index, site in enumerate(towers_spec["sites"]):
+                _fields(site, f"towers.sites[{index}]", ("id", "position"))
+                sites.append(TowerSite(_integer(site, "id", index), _point(site["position"], "position")))
+            towers = tuple(sites)
+        timing_raw = _fields(raw.get("timing", {}), "timing", ("alpha", "c", "mode", "clock_resolution"))
         timing = TimingModel(
             alpha=_number(timing_raw.get("alpha", 0.0), "alpha"),
             c=_number(timing_raw.get("c", SPEED_OF_LIGHT), "c"),

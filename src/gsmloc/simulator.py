@@ -18,6 +18,14 @@ of its config. The loss draws come in two batches, one for the requests and
 one for the acks; numpy's Generator.random(n) yields the same doubles as n
 scalar calls, so the batches equal one draw per packet in the same order.
 
+Only the loss draws differ from one trial of a config to the next. So each
+ScenarioConfig carries an Exchange table, built on its first trial: every
+tower's distance, both arrival times and both events, already in trace
+order, plus each event's trace line and each ack's range, filled in the
+first time they are asked for. A trial draws its losses and keeps the
+indices of the events that survive; its Trace is those indices into the
+table, and first_k_acks and format_trace read the table.
+
 ScenarioConfig rejects a config the simulator cannot run, so a library
 caller gets the ConfigError the CLI reports. Only a clock too fine to
 count to the simulated times shows later, when the arrivals are quantized.
@@ -29,6 +37,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property, partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -80,15 +90,6 @@ class Event(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Trace:
-    """Ordered event log of one exchange plus the context to re-derive ranges."""
-
-    events: tuple[Event, ...]
-    timing: TimingModel
-    towers: tuple[TowerSite, ...]
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """One simulated exchange: geometry, timing, seed and packet loss.
 
@@ -135,11 +136,115 @@ class ScenarioConfig:
         if not 0.0 <= self.request_time < math.inf:
             raise ConfigError("request_time must be non-negative and finite")
 
+    @cached_property
+    def exchange(self) -> Exchange:
+        """This config's exchange table, built on first use and kept with the config."""
+        return Exchange(self)
 
-def _survivors(packets: Sequence, rng: np.random.Generator, loss: float) -> list:
-    """The packets not lost: one draw per packet, in order; a draw below loss loses it."""
-    draws = rng.random(len(packets)).tolist()
-    return [packet for packet, draw in zip(packets, draws) if draw >= loss]
+
+class Exchange:
+    """Everything one config's exchange can hold, computed once.
+
+    events holds every tower's request and ack, in trace order; a slot is
+    an index into it. slot[i] is the slot of the request to tower i (in
+    config order) and slot[n + i] that of its ack. arrival_order lists the
+    tower indices in request-arrival order, the order the ack losses are
+    drawn in. A trial's trace only picks slots from this table.
+
+    The trace line of each slot and the RangeMeasurement of each ack slot
+    are filled in the first time they are asked for and then shared by
+    every trial of the config: they depend on the config alone. A
+    conversion that raises stores nothing, so its error recurs.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        self.timing = config.timing
+        self.towers = towers = config.towers
+        t0 = config.request_time
+        c = config.timing.c
+        delay = config.tower_processing_delay
+        mobile = config.mobile_true_position
+        request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
+        self.sent = f"mob={request.mob_id} sent={t0:.9f}"
+        self.echo = f"echo={t0:.9f}"
+
+        n = len(towers)
+        ds = [distance(mobile, tower.position) for tower in towers]
+        requests = [t0 + d / c for d in ds]
+        # Summed in this order, not as t0 + 2*d/c + delay: the rounding shows in traces.
+        acks = [arrival + delay + d / c for arrival, d in zip(requests, ds)]
+        ids = [tower.id for tower in towers]
+        # Event._make without its length check: a tuple.__new__ in C per event.
+        make = partial(tuple.__new__, Event)
+        events = list(map(make, zip(requests, repeat(REQUEST_ARRIVES), ids, repeat(request))))
+        events += map(make, zip(acks, repeat(ACK_ARRIVES), ids, repeat(request)))
+        order = sorted(range(2 * n), key=events.__getitem__)
+        self.slot = slot = [0] * (2 * n)
+        for s, j in enumerate(order):
+            slot[j] = s
+        self.events = tuple(map(events.__getitem__, order))
+        self.arrival_order = [j for j in order if j < n]
+        self.sites = [towers[j % n] for j in order]
+        self.is_ack = bytes(j >= n for j in order)
+        self.lines: list[str | None] = [None] * (2 * n)
+        self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
+
+    def render(self, s: int) -> str:
+        """The trace line of slot s, stored for the next trace that holds it."""
+        time, kind, tower_id, _ = self.events[s]
+        if kind is REQUEST_ARRIVES:
+            line = f"{time:.9f}\trequest_arrives\t{tower_id}\t{self.sent}"
+        else:
+            pos = self.sites[s].position
+            line = (
+                f"{time:.9f}\tack_arrives\t{tower_id}\t{self.echo} tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
+            )
+        self.lines[s] = line
+        return line
+
+    def measure(self, s: int) -> RangeMeasurement:
+        """The range of the ack in slot s, stored once the conversion succeeds."""
+        time, _, _, payload = self.events[s]
+        turnaround = quantize(time, self.timing.clock_resolution) - payload.timestamp
+        range_m = distance_from_turnaround(turnaround, self.timing)
+        self.measured[s] = measurement = RangeMeasurement(self.sites[s], turnaround, range_m)
+        return measurement
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """One trial's event log: the slots of its config's exchange that arrived.
+
+    arrived holds slots in ascending order, which is trace order. events,
+    timing and towers read as the trial's arrivals and the context to
+    re-derive ranges; events is built once per trace. Two traces are equal
+    when their events, timing and towers are, whichever configs they came
+    from.
+    """
+
+    exchange: Exchange
+    arrived: Sequence[int]
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        """The arrived events in trace order."""
+        return tuple(map(self.exchange.events.__getitem__, self.arrived))
+
+    @property
+    def timing(self) -> TimingModel:
+        return self.exchange.timing
+
+    @property
+    def towers(self) -> tuple[TowerSite, ...]:
+        return self.exchange.towers
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.events, self.timing, self.towers) == (other.events, other.timing, other.towers)
+
+    def __hash__(self):
+        return hash((self.events, self.timing, self.towers))
 
 
 def run_scenario(
@@ -148,13 +253,14 @@ def run_scenario(
     """Execute one exchange and localize from the first three acks.
 
     For tower i at distance d_i the request arrives at t0 + d_i/c and the
-    ack returns at (t0 + d_i/c) + tower_processing_delay + d_i/c. Each
-    distance is computed once. With packet loss, request losses are drawn
-    in one batch in tower order, then ack losses in one batch in
-    request-arrival order (ties by tower id); the batches give the same
-    losses as one draw per packet in that order. The trace is all
-    surviving arrivals sorted by (time, kind, tower id), the events'
-    natural order. Ack arrival timestamps pass through the mobile clock's
+    ack returns at (t0 + d_i/c) + tower_processing_delay + d_i/c. These
+    arrivals, their trace order, lines and ranges depend on the config
+    alone and come from its exchange table, built on the first trial. A
+    trial only draws its losses: request losses in one batch in tower
+    order, then ack losses in one batch in request-arrival order (ties by
+    tower id); the batches give the same losses as one draw per packet in
+    that order. The trace is the surviving arrivals in (time, kind, tower
+    id) order. Ack arrival timestamps pass through the mobile clock's
     quantization before the turn-around time is formed, so a coarse clock
     degrades the ranges exactly as a real kernel timestamp would.
 
@@ -167,33 +273,22 @@ def run_scenario(
         InsufficientMeasurementsError: fewer than 3 acks arrived (reachable
             only with packet_loss > 0).
     """
+    exchange = config.exchange
     loss = config.packet_loss
-    c = config.timing.c
-    t0 = config.request_time
-    mobile = config.mobile_true_position
-    request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
-
-    towers = config.towers
     if loss > 0.0:
         rng = np.random.default_rng([config.rng_seed, trial_index])
-        towers = _survivors(towers, rng, loss)
-    requests = []
-    for tower in towers:
-        d = distance(mobile, tower.position)
-        requests.append((t0 + d / c, tower.id, d))
-    requests.sort()
+        n = len(config.towers)
+        drawn = rng.random(n).tolist()
+        requests = [i for i in exchange.arrival_order if drawn[i] >= loss]
+        drawn = rng.random(len(requests)).tolist()
+        slot = exchange.slot
+        arrived = [slot[i] for i in requests]
+        arrived += [slot[n + i] for i, draw in zip(requests, drawn) if draw >= loss]
+        arrived.sort()
+    else:
+        arrived = range(len(exchange.events))
 
-    events = [Event(arrival, REQUEST_ARRIVES, tower_id, request) for arrival, tower_id, _ in requests]
-    if loss > 0.0:
-        requests = _survivors(requests, rng, loss)
-    delay = config.tower_processing_delay
-    # Summed in this order, not as t0 + 2*d/c + delay: the rounding shows in traces.
-    events += [
-        Event(arrival + delay + d / c, ACK_ARRIVES, tower_id, request) for arrival, tower_id, d in requests
-    ]
-    events.sort()
-
-    trace = Trace(events=tuple(events), timing=config.timing, towers=config.towers)
+    trace = Trace(exchange, arrived)
     measurements = first_k_acks(trace, 3)
     fix = solve_position(
         [m.tower for m in measurements],
@@ -219,25 +314,21 @@ def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
     Arrival order is the trace's event order (ties already broken by tower
     id). Each ack's arrival timestamp is quantized by the trace's clock
     resolution before the turn-around time is formed against the echoed
-    send timestamp.
+    send timestamp. An ack's range is converted the first time any trace
+    of the config asks for it and read from the exchange table after that.
 
     Raises:
         InsufficientMeasurementsError: if the trace holds fewer than k acks.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    acks = [e for e in trace.events if e.kind is ACK_ARRIVES]
+    exchange = trace.exchange
+    is_ack = exchange.is_ack
+    acks = [s for s in trace.arrived if is_ack[s]]
     if len(acks) < k:
         raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
-    site_by_id = {t.id: t for t in trace.towers}
-    timing = trace.timing
-    resolution = timing.clock_resolution
-    measurements = []
-    for time, _, tower_id, payload in acks[:k]:
-        turnaround = quantize(time, resolution) - payload.timestamp
-        range_m = distance_from_turnaround(turnaround, timing)
-        measurements.append(RangeMeasurement(site_by_id[tower_id], turnaround, range_m))
-    return measurements
+    measured = exchange.measured
+    return [measured[s] or exchange.measure(s) for s in acks[:k]]
 
 
 def format_trace(trace: Trace) -> str:
@@ -245,24 +336,12 @@ def format_trace(trace: Trace) -> str:
 
     Times carry 9 decimal digits; lines appear in event (time) order. The
     output is a pure function of the trace, so identical configs produce
-    byte-identical files.
+    byte-identical files. Each line is rendered the first time any trace
+    of the config holds it and read from the exchange table after that.
     """
-    position_by_id = {t.id: t.position for t in trace.towers}
-    lines = []
-    last = None
-    for time, kind, tower_id, payload in trace.events:
-        if payload is not last:  # every event of a simulated trace shares one payload
-            last = payload
-            sent = f"mob={payload.mob_id} sent={payload.timestamp:.9f}"
-            echo = f"echo={payload.timestamp:.9f}"
-        if kind is REQUEST_ARRIVES:
-            lines.append(f"{time:.9f}\trequest_arrives\t{tower_id}\t{sent}")
-        else:
-            pos = position_by_id[tower_id]
-            lines.append(
-                f"{time:.9f}\tack_arrives\t{tower_id}\t{echo} tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
-            )
-    return "\n".join(lines) + "\n"
+    exchange = trace.exchange
+    lines = exchange.lines
+    return "\n".join([lines[s] or exchange.render(s) for s in trace.arrived]) + "\n"
 
 
 def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3) -> str:

@@ -196,13 +196,20 @@ class TestSimulate:
             {"packet_loss": True},
             {"request_time": 10**400},
             {"towers": {"hex": {"center": [0, 0, 0], "radius": 500.0, "rings": 101}}},
+            {"packet_los": 0.9},
+            {"towers": {"hex": {"center": [0, 0, 0], "radius": 500.0, "ring": 3}}},
+            {"towers": dict(HEX_CONFIG["towers"], sites=[{"position": [0, 0, 0]}, {"position": [9, 0, 0]},
+                                                         {"position": [0, 9, 0]}])},
+            {"towers": {"sites": [{"position": [0, 0, 0], "pos": [1, 0, 0]}, {"position": [9, 0, 0]},
+                                  {"position": [0, 9, 0]}]}},
+            {"timing": dict(HEX_CONFIG["timing"], clock=1e-9)},
         ],
         ids=[
             "huge-sites", "huge-hex", "huge-mobile", "one-way", "clock-overflows", "timing-list",
             "rings-fraction", "seed-fraction", "trials-fraction", "seed-bool", "id-string",
             "radius-string", "center-string", "position-bool", "mobile-bool", "alpha-string", "c-string",
             "clock-null", "delay-string", "request-time-list", "loss-string", "loss-bool", "int-overflows-float",
-            "rings-101",
+            "rings-101", "unknown-key", "hex-unknown-key", "hex-and-sites", "site-unknown-key", "timing-unknown-key",
         ],
     )
     def test_unrunnable_config_exit_2(self, tmp_path, capsys, override):

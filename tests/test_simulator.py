@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import simulator_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsmloc.errors import ConfigError, GsmlocError, InsufficientMeasurementsError
+from gsmloc import simulator
+from gsmloc.errors import ConfigError, GsmlocError, InsufficientMeasurementsError, NegativeIntervalError
 from gsmloc.geometry import Point3, TowerSite, distance, hex_cell_layout
 from gsmloc.simulator import (
     EventKind,
@@ -337,3 +339,69 @@ class TestHeapOracle:
             assert _outcome(run_scenario, format_trace, config, trial_index) == _outcome(
                 oracle.run_scenario, oracle.format_trace, config, trial_index
             )
+
+
+def _trial(config, trial_index):
+    """What simulate writes for one trial: trace text, ranges of the first
+    three and of every ack, and the fix; or the error."""
+    try:
+        trace, measurements, fix = run_scenario(config, trial_index)
+        n_acks = sum(1 for e in trace.events if e.kind is EventKind.ACK_ARRIVES)
+        return format_trace(trace), measurements, first_k_acks(trace, n_acks), fix
+    except (GsmlocError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _lossy_hex_config(**overrides):
+    return basic_config(
+        towers=tuple(hex_cell_layout(Point3(0, 0, 0), 800.0, 2)),
+        mobile_true_position=Point3(90, -50, 0),
+        packet_loss=0.2,
+        rng_seed=11,
+        **overrides,
+    )
+
+
+class TestExchangeTable:
+    """What depends on the config alone is computed once per config object."""
+
+    def test_run_trials_measures_each_distance_once(self, monkeypatch):
+        config = _lossy_hex_config(trials=6)
+        calls = []
+
+        def counted(a, b):
+            calls.append(b)
+            return distance(a, b)
+
+        monkeypatch.setattr(simulator, "distance", counted)
+        run_trials(config)
+        assert len(calls) == len(config.towers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(scenario_configs(), hex_configs()), st.lists(st.integers(0, 7), min_size=2, max_size=6))
+    def test_trials_in_any_order_match_a_fresh_config(self, config, trial_indices):
+        # the lazily filled lines and ranges carry nothing from one trial to the next
+        for trial_index in trial_indices:
+            assert _trial(config, trial_index) == _trial(dataclasses.replace(config), trial_index)
+
+    def test_traces_of_equal_configs_compare_equal(self):
+        config = _lossy_hex_config()
+        twin = dataclasses.replace(config)
+        assert twin.exchange is not config.exchange
+        trace, twin_trace = run_scenario(config, 2)[0], run_scenario(twin, 2)[0]
+        assert trace == twin_trace and hash(trace) == hash(twin_trace)
+        assert trace != run_scenario(config, 3)[0]
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            (dict(timing=TimingModel(alpha=1e-3)), NegativeIntervalError),
+            (dict(timing=TimingModel(clock_resolution=1e-9), request_time=1e300), ConfigError),
+        ],
+        ids=["negative-interval", "clock-too-fine"],
+    )
+    def test_errors_recur_on_the_same_config(self, overrides, error):
+        config = basic_config(**overrides)
+        for _ in range(2):
+            with pytest.raises(error):
+                run_scenario(config)
