@@ -145,16 +145,19 @@ class ScenarioConfig:
 class Exchange:
     """Everything one config's exchange can hold, computed once.
 
-    events holds every tower's request and ack, in trace order; a slot is
-    an index into it. slot[i] is the slot of the request to tower i (in
-    config order) and slot[n + i] that of its ack. arrival_order lists the
-    tower indices in request-arrival order, the order the ack losses are
-    drawn in. A trial's trace only picks slots from this table.
+    events holds every tower's request and ack, all sharing one
+    RequestPacket, in trace order; a slot is an index into it. slot[i] is
+    the slot of the request to tower i (in config order) and slot[n + i]
+    that of its ack. arrival_order lists the tower indices in
+    request-arrival order, the order the ack losses are drawn in. sites and
+    is_ack give each slot's tower and kind. A trial's trace only picks
+    slots from this table.
 
-    The trace line of each slot and the RangeMeasurement of each ack slot
-    are filled in the first time they are asked for and then shared by
-    every trial of the config: they depend on the config alone. A
-    conversion that raises stores nothing, so its error recurs.
+    lines and measured hold each slot's trace line and each ack slot's
+    RangeMeasurement. render and measure fill them in the first time a
+    trace asks for them; every later trial of the config reads them, as
+    they depend on the config alone. A conversion that raises stores
+    nothing, so its error recurs.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -170,14 +173,14 @@ class Exchange:
 
         n = len(towers)
         ds = [distance(mobile, tower.position) for tower in towers]
-        requests = [t0 + d / c for d in ds]
+        arrivals = [t0 + d / c for d in ds]
         # Summed in this order, not as t0 + 2*d/c + delay: the rounding shows in traces.
-        acks = [arrival + delay + d / c for arrival, d in zip(requests, ds)]
+        returns = [arrival + delay + d / c for arrival, d in zip(arrivals, ds)]
         ids = [tower.id for tower in towers]
         # Event._make without its length check: a tuple.__new__ in C per event.
         make = partial(tuple.__new__, Event)
-        events = list(map(make, zip(requests, repeat(REQUEST_ARRIVES), ids, repeat(request))))
-        events += map(make, zip(acks, repeat(ACK_ARRIVES), ids, repeat(request)))
+        events = list(map(make, zip(arrivals, repeat(REQUEST_ARRIVES), ids, repeat(request))))
+        events += map(make, zip(returns, repeat(ACK_ARRIVES), ids, repeat(request)))
         order = sorted(range(2 * n), key=events.__getitem__)
         self.slot = slot = [0] * (2 * n)
         for s, j in enumerate(order):
@@ -189,26 +192,32 @@ class Exchange:
         self.lines: list[str | None] = [None] * (2 * n)
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
 
-    def render(self, s: int) -> str:
-        """The trace line of slot s, stored for the next trace that holds it."""
-        time, kind, tower_id, _ = self.events[s]
-        if kind is REQUEST_ARRIVES:
-            line = f"{time:.9f}\trequest_arrives\t{tower_id}\t{self.sent}"
-        else:
-            pos = self.sites[s].position
-            line = (
-                f"{time:.9f}\tack_arrives\t{tower_id}\t{self.echo} tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
-            )
-        self.lines[s] = line
-        return line
+    def render(self, slots: Sequence[int]) -> list[str | None]:
+        """The line table, with the trace line of every slot in slots filled in."""
+        events, sites, lines, sent, echo = self.events, self.sites, self.lines, self.sent, self.echo
+        for s in [s for s in slots if lines[s] is None]:
+            time, kind, tower_id, _ = events[s]
+            if kind is REQUEST_ARRIVES:
+                lines[s] = f"{time:.9f}\trequest_arrives\t{tower_id}\t{sent}"
+            else:
+                pos = sites[s].position
+                lines[s] = f"{time:.9f}\tack_arrives\t{tower_id}\t{echo} tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
+        return lines
 
-    def measure(self, s: int) -> RangeMeasurement:
-        """The range of the ack in slot s, stored once the conversion succeeds."""
-        time, _, _, payload = self.events[s]
-        turnaround = quantize(time, self.timing.clock_resolution) - payload.timestamp
-        range_m = distance_from_turnaround(turnaround, self.timing)
-        self.measured[s] = measurement = RangeMeasurement(self.sites[s], turnaround, range_m)
-        return measurement
+    def measure(self, slots: Sequence[int]) -> list[RangeMeasurement | None]:
+        """The range table, with the RangeMeasurement of every ack slot in slots filled in.
+
+        Slots are converted in the order given; one whose conversion raises
+        stays empty, and the error propagates.
+        """
+        events, sites, measured, timing = self.events, self.sites, self.measured, self.timing
+        resolution = timing.clock_resolution
+        for s in [s for s in slots if measured[s] is None]:
+            time, _, _, payload = events[s]
+            turnaround = quantize(time, resolution) - payload.timestamp
+            range_m = distance_from_turnaround(turnaround, timing)
+            measured[s] = RangeMeasurement(sites[s], turnaround, range_m)
+        return measured
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,13 +331,12 @@ def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    exchange = trace.exchange
-    is_ack = exchange.is_ack
+    is_ack = trace.exchange.is_ack
     acks = [s for s in trace.arrived if is_ack[s]]
     if len(acks) < k:
         raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
-    measured = exchange.measured
-    return [measured[s] or exchange.measure(s) for s in acks[:k]]
+    del acks[k:]
+    return list(map(trace.exchange.measure(acks).__getitem__, acks))
 
 
 def format_trace(trace: Trace) -> str:
@@ -339,9 +347,8 @@ def format_trace(trace: Trace) -> str:
     byte-identical files. Each line is rendered the first time any trace
     of the config holds it and read from the exchange table after that.
     """
-    exchange = trace.exchange
-    lines = exchange.lines
-    return "\n".join([lines[s] or exchange.render(s) for s in trace.arrived]) + "\n"
+    lines = trace.exchange.render(trace.arrived)
+    return "\n".join(map(lines.__getitem__, trace.arrived)) + "\n"
 
 
 def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3) -> str:
