@@ -18,13 +18,15 @@ of its config. The loss draws come in two batches, one for the requests and
 one for the acks; numpy's Generator.random(n) yields the same doubles as n
 scalar calls, so the batches equal one draw per packet in the same order.
 
-Only the loss draws differ from one trial of a config to the next. So each
-ScenarioConfig carries an Exchange table, built on its first trial: every
-tower's distance, both arrival times and both events, already in trace
-order, plus each event's trace line and each ack's range, filled in the
-first time they are asked for. A trial draws its losses and keeps the
-indices of the events that survive; its Trace is those indices into the
-table, and first_k_acks and format_trace read the table.
+Only the loss draws differ from one trial of a config to the next. So once
+a config runs a second trial, it keeps an Exchange table: every tower's
+distance, both arrival times and both events, already in trace order,
+plus each event's trace line and each ack's range, filled in the first
+time they are asked for. Every later trial draws its losses and keeps the
+indices of the events that survive; first_k_acks and format_trace read
+the table through its trace. A config's first trial builds only its own
+events, so a one-trial run does no work for trials that never come.
+run_trials builds the table before its first trial when it runs more.
 
 ScenarioConfig rejects a config the simulator cannot run, so a library
 caller gets the ConfigError the CLI reports. Only a clock too fine to
@@ -34,7 +36,7 @@ count to the simulated times shows later, when the arrivals are quantized.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, partial
@@ -87,6 +89,25 @@ class Event(NamedTuple):
     kind: EventKind
     tower_id: int
     payload: RequestPacket
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Ordered event log of one exchange plus the context to re-derive ranges.
+
+    A trace of a config's second or later trial also carries the config's
+    exchange table and the slots of its events there, in ascending order;
+    first_k_acks and format_trace then read the table's ranges and lines,
+    and the trace keeps the whole table alive. Neither takes part in
+    equality: two traces are equal when their events, timing and towers
+    are, whichever configs they came from.
+    """
+
+    events: tuple[Event, ...]
+    timing: TimingModel
+    towers: tuple[TowerSite, ...]
+    exchange: Exchange | None = field(default=None, compare=False, repr=False)
+    arrived: Sequence[int] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -149,9 +170,9 @@ class Exchange:
     RequestPacket, in trace order; a slot is an index into it. slot[i] is
     the slot of the request to tower i (in config order) and slot[n + i]
     that of its ack. arrival_order lists the tower indices in
-    request-arrival order, the order the ack losses are drawn in. sites and
-    is_ack give each slot's tower and kind. A trial's trace only picks
-    slots from this table.
+    request-arrival order, the order the ack losses are drawn in, and
+    is_ack gives each slot's kind. A trial's trace only picks slots from
+    this table.
 
     lines and measured hold each slot's trace line and each ack slot's
     RangeMeasurement. render and measure fill them in the first time a
@@ -162,14 +183,13 @@ class Exchange:
 
     def __init__(self, config: ScenarioConfig):
         self.timing = config.timing
-        self.towers = towers = config.towers
+        towers = config.towers
+        self.site_by_id = {tower.id: tower for tower in towers}
         t0 = config.request_time
         c = config.timing.c
         delay = config.tower_processing_delay
         mobile = config.mobile_true_position
         request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
-        self.sent = f"mob={request.mob_id} sent={t0:.9f}"
-        self.echo = f"echo={t0:.9f}"
 
         n = len(towers)
         ds = [distance(mobile, tower.position) for tower in towers]
@@ -187,21 +207,16 @@ class Exchange:
             slot[j] = s
         self.events = tuple(map(events.__getitem__, order))
         self.arrival_order = [j for j in order if j < n]
-        self.sites = [towers[j % n] for j in order]
         self.is_ack = bytes(j >= n for j in order)
         self.lines: list[str | None] = [None] * (2 * n)
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
 
     def render(self, slots: Sequence[int]) -> list[str | None]:
         """The line table, with the trace line of every slot in slots filled in."""
-        events, sites, lines, sent, echo = self.events, self.sites, self.lines, self.sent, self.echo
-        for s in [s for s in slots if lines[s] is None]:
-            time, kind, tower_id, _ = events[s]
-            if kind is REQUEST_ARRIVES:
-                lines[s] = f"{time:.9f}\trequest_arrives\t{tower_id}\t{sent}"
-            else:
-                pos = sites[s].position
-                lines[s] = f"{time:.9f}\tack_arrives\t{tower_id}\t{echo} tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
+        events, lines = self.events, self.lines
+        missing = [s for s in slots if lines[s] is None]
+        for s, line in zip(missing, _lines(map(events.__getitem__, missing), self.site_by_id)):
+            lines[s] = line
         return lines
 
     def measure(self, slots: Sequence[int]) -> list[RangeMeasurement | None]:
@@ -210,79 +225,71 @@ class Exchange:
         Slots are converted in the order given; one whose conversion raises
         stays empty, and the error propagates.
         """
-        events, sites, measured, timing = self.events, self.sites, self.measured, self.timing
-        resolution = timing.clock_resolution
-        for s in [s for s in slots if measured[s] is None]:
-            time, _, _, payload = events[s]
-            turnaround = quantize(time, resolution) - payload.timestamp
-            range_m = distance_from_turnaround(turnaround, timing)
-            measured[s] = RangeMeasurement(sites[s], turnaround, range_m)
+        events, measured = self.events, self.measured
+        missing = [s for s in slots if measured[s] is None]
+        for s, m in zip(missing, _ranges(map(events.__getitem__, missing), self.site_by_id, self.timing)):
+            measured[s] = m
         return measured
 
 
-@dataclass(frozen=True, eq=False)
-class Trace:
-    """One trial's event log: the slots of its config's exchange that arrived.
+# Set in a config's instance dict by its first trial, or by run_trials
+# before a multi-trial run, so that the next trial builds the table.
+_TABLE_WANTED = "_exchange_table_wanted"
 
-    arrived holds slots in ascending order, which is trace order. events,
-    timing and towers read as the trial's arrivals and the context to
-    re-derive ranges; events is built once per trace. Two traces are equal
-    when their events, timing and towers are, whichever configs they came
-    from.
+
+def _shared_exchange(config: ScenarioConfig) -> Exchange | None:
+    """config's exchange table from its second trial on; None on its first.
+
+    The mark and the table (through the cached_property) live in the
+    config's instance dict, which a frozen dataclass leaves writable.
     """
-
-    exchange: Exchange
-    arrived: Sequence[int]
-
-    @cached_property
-    def events(self) -> tuple[Event, ...]:
-        """The arrived events in trace order."""
-        return tuple(map(self.exchange.events.__getitem__, self.arrived))
-
-    @property
-    def timing(self) -> TimingModel:
-        return self.exchange.timing
-
-    @property
-    def towers(self) -> tuple[TowerSite, ...]:
-        return self.exchange.towers
-
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return (self.events, self.timing, self.towers) == (other.events, other.timing, other.towers)
-
-    def __hash__(self):
-        return hash((self.events, self.timing, self.towers))
+    state = vars(config)
+    if "exchange" in state:
+        return state["exchange"]
+    if state.get(_TABLE_WANTED):
+        return config.exchange
+    state[_TABLE_WANTED] = True
+    return None
 
 
-def run_scenario(
-    config: ScenarioConfig, trial_index: int = 0
-) -> tuple[Trace, list[RangeMeasurement], LocationFix]:
-    """Execute one exchange and localize from the first three acks.
+def _survivors(packets: Sequence, rng: np.random.Generator, loss: float) -> list:
+    """The packets not lost: one draw per packet, in order; a draw below loss loses it."""
+    draws = rng.random(len(packets)).tolist()
+    return [packet for packet, draw in zip(packets, draws) if draw >= loss]
 
-    For tower i at distance d_i the request arrives at t0 + d_i/c and the
-    ack returns at (t0 + d_i/c) + tower_processing_delay + d_i/c. These
-    arrivals, their trace order, lines and ranges depend on the config
-    alone and come from its exchange table, built on the first trial. A
-    trial only draws its losses: request losses in one batch in tower
-    order, then ack losses in one batch in request-arrival order (ties by
-    tower id); the batches give the same losses as one draw per packet in
-    that order. The trace is the surviving arrivals in (time, kind, tower
-    id) order. Ack arrival timestamps pass through the mobile clock's
-    quantization before the turn-around time is formed, so a coarse clock
-    degrades the ranges exactly as a real kernel timestamp would.
 
-    Returns:
-        (trace, measurements, fix) where measurements are the first three
-        acks by arrival time (ties by tower id) converted to ranges, and
-        fix is the three-tower solve over them.
+def _built_trace(config: ScenarioConfig, trial_index: int) -> Trace:
+    """One trial's trace from its own arrivals alone: a config's first trial."""
+    loss = config.packet_loss
+    c = config.timing.c
+    t0 = config.request_time
+    mobile = config.mobile_true_position
+    request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
 
-    Raises:
-        InsufficientMeasurementsError: fewer than 3 acks arrived (reachable
-            only with packet_loss > 0).
-    """
-    exchange = config.exchange
+    towers = config.towers
+    if loss > 0.0:
+        rng = np.random.default_rng([config.rng_seed, trial_index])
+        towers = _survivors(towers, rng, loss)
+    requests = []
+    for tower in towers:
+        d = distance(mobile, tower.position)
+        requests.append((t0 + d / c, tower.id, d))
+    requests.sort()
+
+    events = [Event(arrival, REQUEST_ARRIVES, tower_id, request) for arrival, tower_id, _ in requests]
+    if loss > 0.0:
+        requests = _survivors(requests, rng, loss)
+    delay = config.tower_processing_delay
+    # Summed in this order, not as t0 + 2*d/c + delay: the rounding shows in traces.
+    events += [
+        Event(arrival + delay + d / c, ACK_ARRIVES, tower_id, request) for arrival, tower_id, d in requests
+    ]
+    events.sort()
+    return Trace(events=tuple(events), timing=config.timing, towers=config.towers)
+
+
+def _picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) -> Trace:
+    """One trial's trace picked from its config's exchange table, with the same losses."""
     loss = config.packet_loss
     if loss > 0.0:
         rng = np.random.default_rng([config.rng_seed, trial_index])
@@ -294,10 +301,48 @@ def run_scenario(
         arrived = [slot[i] for i in requests]
         arrived += [slot[n + i] for i, draw in zip(requests, drawn) if draw >= loss]
         arrived.sort()
+        events = tuple(map(exchange.events.__getitem__, arrived))
     else:
         arrived = range(len(exchange.events))
+        events = exchange.events
+    return Trace(events, config.timing, config.towers, exchange, arrived)
 
-    trace = Trace(exchange, arrived)
+
+def run_scenario(
+    config: ScenarioConfig, trial_index: int = 0
+) -> tuple[Trace, list[RangeMeasurement], LocationFix]:
+    """Execute one exchange and localize from the first three acks.
+
+    For tower i at distance d_i the request arrives at t0 + d_i/c and the
+    ack returns at (t0 + d_i/c) + tower_processing_delay + d_i/c. With
+    packet loss, request losses are drawn in one batch in tower order,
+    then ack losses in one batch in request-arrival order (ties by tower
+    id); the batches give the same losses as one draw per packet in that
+    order. The trace is the surviving arrivals in (time, kind, tower id)
+    order. Ack arrival timestamps pass through the mobile clock's
+    quantization before the turn-around time is formed, so a coarse clock
+    degrades the ranges exactly as a real kernel timestamp would.
+
+    A config's first trial computes the distances and events of the towers
+    its request reaches and nothing more. The arrivals, their trace order,
+    lines and ranges depend on the config alone, so its second trial
+    builds the exchange table and every later one only draws its losses
+    and picks the surviving slots.
+
+    Returns:
+        (trace, measurements, fix) where measurements are the first three
+        acks by arrival time (ties by tower id) converted to ranges, and
+        fix is the three-tower solve over them.
+
+    Raises:
+        InsufficientMeasurementsError: fewer than 3 acks arrived (reachable
+            only with packet_loss > 0).
+    """
+    exchange = _shared_exchange(config)
+    if exchange is None:
+        trace = _built_trace(config, trial_index)
+    else:
+        trace = _picked_trace(config, exchange, trial_index)
     measurements = first_k_acks(trace, 3)
     fix = solve_position(
         [m.tower for m in measurements],
@@ -312,9 +357,36 @@ def run_trials(config: ScenarioConfig) -> list[tuple[Trace, list[RangeMeasuremen
 
     Each trial is a pure function of (config, rng_seed, trial index), so
     results do not depend on execution order and trials may be distributed
-    across workers freely.
+    across workers freely. With more than one trial, the first builds the
+    config's exchange table and every trial picks from it.
     """
+    if config.trials > 1:
+        vars(config)[_TABLE_WANTED] = True
     return [run_scenario(config, trial_index=i) for i in range(config.trials)]
+
+
+def _lines(events: Iterable[Event], site_by_id: dict[int, TowerSite]) -> Iterator[str]:
+    """Each event's trace line: time, kind, tower id and detail, tab-separated."""
+    last = None
+    for time, kind, tower_id, payload in events:
+        if payload is not last:  # every event of a simulated trace shares one payload
+            last = payload
+            sent = f"mob={payload.mob_id} sent={payload.timestamp:.9f}"
+            echo = f"echo={payload.timestamp:.9f}"
+        if kind is REQUEST_ARRIVES:
+            yield f"{time:.9f}\trequest_arrives\t{tower_id}\t{sent}"
+        else:
+            pos = site_by_id[tower_id].position
+            yield f"{time:.9f}\tack_arrives\t{tower_id}\t{echo} tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
+
+
+def _ranges(acks: Iterable[Event], site_by_id: dict[int, TowerSite], timing: TimingModel) -> Iterator[RangeMeasurement]:
+    """Each ack's range, from its quantized arrival less the echoed send timestamp."""
+    resolution = timing.clock_resolution
+    for time, _, tower_id, payload in acks:
+        turnaround = quantize(time, resolution) - payload.timestamp
+        range_m = distance_from_turnaround(turnaround, timing)
+        yield RangeMeasurement(site_by_id[tower_id], turnaround, range_m)
 
 
 def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
@@ -323,20 +395,27 @@ def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
     Arrival order is the trace's event order (ties already broken by tower
     id). Each ack's arrival timestamp is quantized by the trace's clock
     resolution before the turn-around time is formed against the echoed
-    send timestamp. An ack's range is converted the first time any trace
-    of the config asks for it and read from the exchange table after that.
+    send timestamp. On a trace that carries its config's exchange table,
+    an ack's range is converted the first time any trace of the config
+    asks for it and read from the table after that.
 
     Raises:
         InsufficientMeasurementsError: if the trace holds fewer than k acks.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    is_ack = trace.exchange.is_ack
-    acks = [s for s in trace.arrived if is_ack[s]]
+    exchange = trace.exchange
+    if exchange is None:
+        acks = [e for e in trace.events if e.kind is ACK_ARRIVES]
+    else:
+        is_ack = exchange.is_ack
+        acks = [s for s in trace.arrived if is_ack[s]]
     if len(acks) < k:
         raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
     del acks[k:]
-    return list(map(trace.exchange.measure(acks).__getitem__, acks))
+    if exchange is None:
+        return list(_ranges(acks, {t.id: t for t in trace.towers}, trace.timing))
+    return list(map(exchange.measure(acks).__getitem__, acks))
 
 
 def format_trace(trace: Trace) -> str:
@@ -344,11 +423,16 @@ def format_trace(trace: Trace) -> str:
 
     Times carry 9 decimal digits; lines appear in event (time) order. The
     output is a pure function of the trace, so identical configs produce
-    byte-identical files. Each line is rendered the first time any trace
-    of the config holds it and read from the exchange table after that.
+    byte-identical files. On a trace that carries its config's exchange
+    table, each line is rendered the first time any trace of the config
+    holds it and read from the table after that.
     """
-    lines = trace.exchange.render(trace.arrived)
-    return "\n".join(map(lines.__getitem__, trace.arrived)) + "\n"
+    exchange = trace.exchange
+    if exchange is None:
+        lines = _lines(trace.events, {t.id: t for t in trace.towers})
+    else:
+        lines = map(exchange.render(trace.arrived).__getitem__, trace.arrived)
+    return "\n".join(lines) + "\n"
 
 
 def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3) -> str:

@@ -16,8 +16,8 @@ import numpy as np
 
 from gsmloc.errors import InsufficientMeasurementsError
 from gsmloc.geometry import Point3, TowerSite, distance
-from gsmloc.simulator import MOBILE_ID, Event, EventKind, RequestPacket, ScenarioConfig
-from gsmloc.timing import TimingModel, distance_from_turnaround, quantize
+from gsmloc.simulator import MOBILE_ID, Event, EventKind, RequestPacket, ScenarioConfig, Trace
+from gsmloc.timing import distance_from_turnaround, quantize
 from gsmloc.trilateration import NONNEGATIVE, LocationFix, RangeMeasurement, solve_position
 
 
@@ -29,15 +29,6 @@ class AckPacket:
     tower: int
     tower_coord: Point3
     timestamp: float  # the echoed request timestamp, unmodified
-
-
-@dataclass(frozen=True)
-class Trace:
-    """Ordered event log of one exchange plus the context to re-derive ranges."""
-
-    events: tuple[Event, ...]
-    timing: TimingModel
-    towers: tuple[TowerSite, ...]
 
 
 def run_scenario(

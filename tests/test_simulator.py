@@ -362,20 +362,26 @@ def _lossy_hex_config(**overrides):
     )
 
 
+@pytest.fixture
+def distance_calls(monkeypatch):
+    """The second points of every simulator.distance call made during the test."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return distance(a, b)
+
+    monkeypatch.setattr(simulator, "distance", counted)
+    return calls
+
+
 class TestExchangeTable:
-    """What depends on the config alone is computed once per config object."""
+    """What depends on the config alone is computed once per config object that runs several trials."""
 
-    def test_run_trials_measures_each_distance_once(self, monkeypatch):
+    def test_run_trials_measures_each_distance_once(self, distance_calls):
         config = _lossy_hex_config(trials=6)
-        calls = []
-
-        def counted(a, b):
-            calls.append(b)
-            return distance(a, b)
-
-        monkeypatch.setattr(simulator, "distance", counted)
         run_trials(config)
-        assert len(calls) == len(config.towers)
+        assert len(distance_calls) == len(config.towers)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(scenario_configs(), hex_configs()), st.lists(st.integers(0, 7), min_size=2, max_size=6))
@@ -384,11 +390,21 @@ class TestExchangeTable:
         for trial_index in trial_indices:
             assert _trial(config, trial_index) == _trial(dataclasses.replace(config), trial_index)
 
+    def test_one_trial_builds_no_table(self, distance_calls):
+        config = _lossy_hex_config()
+        assert run_scenario(config, 0)[0].exchange is None
+        first = len(distance_calls)
+        assert first < len(config.towers)  # only the towers the request reached
+        assert run_scenario(config, 1)[0].exchange is not None
+        assert run_scenario(config, 2)[0].exchange is config.exchange
+        assert len(distance_calls) == first + len(config.towers)
+
     def test_traces_of_equal_configs_compare_equal(self):
         config = _lossy_hex_config()
         twin = dataclasses.replace(config)
-        assert twin.exchange is not config.exchange
+        run_scenario(config, 0)
         trace, twin_trace = run_scenario(config, 2)[0], run_scenario(twin, 2)[0]
+        assert trace.exchange is not None and twin_trace.exchange is None
         assert trace == twin_trace and hash(trace) == hash(twin_trace)
         assert trace != run_scenario(config, 3)[0]
 
@@ -402,6 +418,6 @@ class TestExchangeTable:
     )
     def test_errors_recur_on_the_same_config(self, overrides, error):
         config = basic_config(**overrides)
-        for _ in range(2):
+        for _ in range(3):  # the first trial, the one that builds the table, and one that reads it
             with pytest.raises(error):
                 run_scenario(config)
