@@ -170,9 +170,9 @@ class Exchange:
     RequestPacket, in trace order; a slot is an index into it. slot[i] is
     the slot of the request to tower i (in config order) and slot[n + i]
     that of its ack. arrival_order lists the tower indices in
-    request-arrival order, the order the ack losses are drawn in, and
-    is_ack gives each slot's kind. A trial's trace only picks slots from
-    this table.
+    request-arrival order, the order the ack losses are drawn in. sites and
+    is_ack give each slot's tower and kind. A trial's trace only picks
+    slots from this table.
 
     lines and measured hold each slot's trace line and each ack slot's
     RangeMeasurement. render and measure fill them in the first time a
@@ -184,7 +184,6 @@ class Exchange:
     def __init__(self, config: ScenarioConfig):
         self.timing = config.timing
         towers = config.towers
-        self.site_by_id = {tower.id: tower for tower in towers}
         t0 = config.request_time
         c = config.timing.c
         delay = config.tower_processing_delay
@@ -207,6 +206,7 @@ class Exchange:
             slot[j] = s
         self.events = tuple(map(events.__getitem__, order))
         self.arrival_order = [j for j in order if j < n]
+        self.sites = [towers[j % n] for j in order]
         self.is_ack = bytes(j >= n for j in order)
         self.lines: list[str | None] = [None] * (2 * n)
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
@@ -215,7 +215,7 @@ class Exchange:
         """The line table, with the trace line of every slot in slots filled in."""
         events, lines = self.events, self.lines
         missing = [s for s in slots if lines[s] is None]
-        for s, line in zip(missing, _lines(map(events.__getitem__, missing), self.site_by_id)):
+        for s, line in zip(missing, _lines(map(events.__getitem__, missing), self._site_by_id(missing))):
             lines[s] = line
         return lines
 
@@ -227,9 +227,15 @@ class Exchange:
         """
         events, measured = self.events, self.measured
         missing = [s for s in slots if measured[s] is None]
-        for s, m in zip(missing, _ranges(map(events.__getitem__, missing), self.site_by_id, self.timing)):
+        acks = map(events.__getitem__, missing)
+        for s, m in zip(missing, _ranges(acks, self._site_by_id(missing), self.timing)):
             measured[s] = m
         return measured
+
+    def _site_by_id(self, slots: list[int]) -> dict[int, TowerSite]:
+        """The towers of slots by id: built per fill, not kept, as a kept one would cost every config a dict."""
+        sites = self.sites
+        return {sites[s].id: sites[s] for s in slots}
 
 
 # Set in a config's instance dict by its first trial, or by run_trials
