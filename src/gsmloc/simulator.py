@@ -18,15 +18,13 @@ of its config. The loss draws come in two batches, one for the requests and
 one for the acks; numpy's Generator.random(n) yields the same doubles as n
 scalar calls, so the batches equal one draw per packet in the same order.
 
-Only the loss draws differ from one trial of a config to the next. So once
-a config runs a second trial, it keeps an Exchange table: every tower's
+Only the loss draws differ from one trial of a config to the next. So a
+config keeps an Exchange table, built by its first trial: every tower's
 distance, both arrival times and both events, already in trace order,
 plus each event's trace line and each ack's range, filled in the first
-time they are asked for. Every later trial draws its losses and keeps the
+time they are asked for. Every trial draws its losses and keeps the
 indices of the events that survive; first_k_acks and format_trace read
-the table through its trace. A config's first trial builds only its own
-events, so a one-trial run does no work for trials that never come.
-run_trials builds the table before its first trial when it runs more.
+the table through its trace.
 
 ScenarioConfig rejects a config the simulator cannot run, so a library
 caller gets the ConfigError the CLI reports. Only a clock too fine to
@@ -40,7 +38,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -95,19 +93,18 @@ class Event(NamedTuple):
 class Trace:
     """Ordered event log of one exchange plus the context to re-derive ranges.
 
-    A trace of a config's second or later trial also carries the config's
-    exchange table and the slots of its events there, in ascending order;
-    first_k_acks and format_trace then read the table's ranges and lines,
-    and the trace keeps the whole table alive. Neither takes part in
-    equality: two traces are equal when their events, timing and towers
-    are, whichever configs they came from.
+    A trace also carries its config's exchange table and the slots of its
+    events there, in ascending order; first_k_acks and format_trace read
+    the table's ranges and lines, and the trace keeps the whole table
+    alive. Neither takes part in equality: two traces are equal when their
+    events, timing and towers are, whichever configs they came from.
     """
 
     events: tuple[Event, ...]
     timing: TimingModel
     towers: tuple[TowerSite, ...]
-    exchange: Exchange | None = field(default=None, compare=False, repr=False)
-    arrived: Sequence[int] = field(default=(), compare=False, repr=False)
+    exchange: Exchange = field(compare=False, repr=False)
+    arrived: Sequence[int] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -166,13 +163,12 @@ class ScenarioConfig:
 class Exchange:
     """Everything one config's exchange can hold, computed once.
 
-    events holds every tower's request and ack, all sharing one
-    RequestPacket, in trace order; a slot is an index into it. slot[i] is
-    the slot of the request to tower i (in config order) and slot[n + i]
-    that of its ack. arrival_order lists the tower indices in
-    request-arrival order, the order the ack losses are drawn in. sites and
-    is_ack give each slot's tower and kind. A trial's trace only picks
-    slots from this table.
+    events holds every tower's request and ack, all sharing the one
+    RequestPacket request, in trace order; a slot is an index into it.
+    order[s] is the index j of slot s's event in config order: j % n is
+    its tower's index in towers, and j >= n marks an ack. arrival_order
+    lists the tower indices in request-arrival order, the order the ack
+    losses are drawn in. A trial's trace only picks slots from this table.
 
     lines and measured hold each slot's trace line and each ack slot's
     RangeMeasurement. render and measure fill them in the first time a
@@ -183,12 +179,12 @@ class Exchange:
 
     def __init__(self, config: ScenarioConfig):
         self.timing = config.timing
-        towers = config.towers
+        self.towers = towers = config.towers
         t0 = config.request_time
         c = config.timing.c
         delay = config.tower_processing_delay
         mobile = config.mobile_true_position
-        request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
+        self.request = request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
 
         n = len(towers)
         ds = [distance(mobile, tower.position) for tower in towers]
@@ -200,14 +196,9 @@ class Exchange:
         make = partial(tuple.__new__, Event)
         events = list(map(make, zip(arrivals, repeat(REQUEST_ARRIVES), ids, repeat(request))))
         events += map(make, zip(returns, repeat(ACK_ARRIVES), ids, repeat(request)))
-        order = sorted(range(2 * n), key=events.__getitem__)
-        self.slot = slot = [0] * (2 * n)
-        for s, j in enumerate(order):
-            slot[j] = s
+        self.order = order = sorted(range(2 * n), key=events.__getitem__)
         self.events = tuple(map(events.__getitem__, order))
         self.arrival_order = [j for j in order if j < n]
-        self.sites = [towers[j % n] for j in order]
-        self.is_ack = bytes(j >= n for j in order)
         self.lines: list[str | None] = [None] * (2 * n)
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
 
@@ -215,7 +206,7 @@ class Exchange:
         """The line table, with the trace line of every slot in slots filled in."""
         events, lines = self.events, self.lines
         missing = [s for s in slots if lines[s] is None]
-        for s, line in zip(missing, _lines(map(events.__getitem__, missing), self._site_by_id(missing))):
+        for s, line in zip(missing, _lines(self.request, map(events.__getitem__, missing), self._towers_of(missing))):
             lines[s] = line
         return lines
 
@@ -228,85 +219,30 @@ class Exchange:
         events, measured = self.events, self.measured
         missing = [s for s in slots if measured[s] is None]
         acks = map(events.__getitem__, missing)
-        for s, m in zip(missing, _ranges(acks, self._site_by_id(missing), self.timing)):
+        for s, m in zip(missing, _ranges(acks, self._towers_of(missing), self.timing)):
             measured[s] = m
         return measured
 
-    def _site_by_id(self, slots: list[int]) -> dict[int, TowerSite]:
-        """The towers of slots by id: built per fill, not kept, as a kept one would cost every config a dict."""
-        sites = self.sites
-        return {sites[s].id: sites[s] for s in slots}
-
-
-# Set in a config's instance dict by its first trial, or by run_trials
-# before a multi-trial run, so that the next trial builds the table.
-_TABLE_WANTED = "_exchange_table_wanted"
-
-
-def _shared_exchange(config: ScenarioConfig) -> Exchange | None:
-    """config's exchange table from its second trial on; None on its first.
-
-    The mark and the table (through the cached_property) live in the
-    config's instance dict, which a frozen dataclass leaves writable.
-    """
-    state = vars(config)
-    if "exchange" in state:
-        return state["exchange"]
-    if state.get(_TABLE_WANTED):
-        return config.exchange
-    state[_TABLE_WANTED] = True
-    return None
-
-
-def _survivors(packets: Sequence, rng: np.random.Generator, loss: float) -> list:
-    """The packets not lost: one draw per packet, in order; a draw below loss loses it."""
-    draws = rng.random(len(packets)).tolist()
-    return [packet for packet, draw in zip(packets, draws) if draw >= loss]
-
-
-def _built_trace(config: ScenarioConfig, trial_index: int) -> Trace:
-    """One trial's trace from its own arrivals alone: a config's first trial."""
-    loss = config.packet_loss
-    c = config.timing.c
-    t0 = config.request_time
-    mobile = config.mobile_true_position
-    request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
-
-    towers = config.towers
-    if loss > 0.0:
-        rng = np.random.default_rng([config.rng_seed, trial_index])
-        towers = _survivors(towers, rng, loss)
-    requests = []
-    for tower in towers:
-        d = distance(mobile, tower.position)
-        requests.append((t0 + d / c, tower.id, d))
-    requests.sort()
-
-    events = [Event(arrival, REQUEST_ARRIVES, tower_id, request) for arrival, tower_id, _ in requests]
-    if loss > 0.0:
-        requests = _survivors(requests, rng, loss)
-    delay = config.tower_processing_delay
-    # Summed in this order, not as t0 + 2*d/c + delay: the rounding shows in traces.
-    events += [
-        Event(arrival + delay + d / c, ACK_ARRIVES, tower_id, request) for arrival, tower_id, d in requests
-    ]
-    events.sort()
-    return Trace(events=tuple(events), timing=config.timing, towers=config.towers)
+    def _towers_of(self, slots: Iterable[int]) -> Iterator[TowerSite]:
+        """Each slot's tower, in order."""
+        towers, order, n = self.towers, self.order, len(self.towers)
+        return (towers[order[s] % n] for s in slots)
 
 
 def _picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) -> Trace:
-    """One trial's trace picked from its config's exchange table, with the same losses."""
+    """One trial's trace: the slots of its config's exchange table that survive its losses."""
     loss = config.packet_loss
     if loss > 0.0:
         rng = np.random.default_rng([config.rng_seed, trial_index])
         n = len(config.towers)
-        drawn = rng.random(n).tolist()
-        requests = [i for i in exchange.arrival_order if drawn[i] >= loss]
-        drawn = rng.random(len(requests)).tolist()
-        slot = exchange.slot
-        arrived = [slot[i] for i in requests]
-        arrived += [slot[n + i] for i, draw in zip(requests, drawn) if draw >= loss]
-        arrived.sort()
+        # keep[j] for event j in config order: the request to tower j % n, or its ack if j >= n.
+        keep = [draw >= loss for draw in rng.random(n).tolist()]
+        requests = list(compress(exchange.arrival_order, map(keep.__getitem__, exchange.arrival_order)))
+        keep += repeat(False, n)
+        for i, draw in zip(requests, rng.random(len(requests)).tolist()):
+            if draw >= loss:
+                keep[n + i] = True
+        arrived = list(compress(range(2 * n), map(keep.__getitem__, exchange.order)))
         events = tuple(map(exchange.events.__getitem__, arrived))
     else:
         arrived = range(len(exchange.events))
@@ -329,11 +265,10 @@ def run_scenario(
     quantization before the turn-around time is formed, so a coarse clock
     degrades the ranges exactly as a real kernel timestamp would.
 
-    A config's first trial computes the distances and events of the towers
-    its request reaches and nothing more. The arrivals, their trace order,
-    lines and ranges depend on the config alone, so its second trial
-    builds the exchange table and every later one only draws its losses
-    and picks the surviving slots.
+    The arrivals, their trace order, lines and ranges depend on the config
+    alone, so they live in the config's exchange table, which its first
+    trial builds; every trial only draws its losses and picks the
+    surviving slots.
 
     Returns:
         (trace, measurements, fix) where measurements are the first three
@@ -344,11 +279,7 @@ def run_scenario(
         InsufficientMeasurementsError: fewer than 3 acks arrived (reachable
             only with packet_loss > 0).
     """
-    exchange = _shared_exchange(config)
-    if exchange is None:
-        trace = _built_trace(config, trial_index)
-    else:
-        trace = _picked_trace(config, exchange, trial_index)
+    trace = _picked_trace(config, config.exchange, trial_index)
     measurements = first_k_acks(trace, 3)
     fix = solve_position(
         [m.tower for m in measurements],
@@ -363,36 +294,34 @@ def run_trials(config: ScenarioConfig) -> list[tuple[Trace, list[RangeMeasuremen
 
     Each trial is a pure function of (config, rng_seed, trial index), so
     results do not depend on execution order and trials may be distributed
-    across workers freely. With more than one trial, the first builds the
-    config's exchange table and every trial picks from it.
+    across workers freely. Every trial picks from the config's one exchange
+    table.
     """
-    if config.trials > 1:
-        vars(config)[_TABLE_WANTED] = True
     return [run_scenario(config, trial_index=i) for i in range(config.trials)]
 
 
-def _lines(events: Iterable[Event], site_by_id: dict[int, TowerSite]) -> Iterator[str]:
-    """Each event's trace line: time, kind, tower id and detail, tab-separated."""
-    last = None
-    for time, kind, tower_id, payload in events:
-        if payload is not last:  # every event of a simulated trace shares one payload
-            last = payload
-            sent = f"mob={payload.mob_id} sent={payload.timestamp:.9f}"
-            echo = f"echo={payload.timestamp:.9f}"
+def _lines(request: RequestPacket, events: Iterable[Event], towers: Iterable[TowerSite]) -> Iterator[str]:
+    """Each event's trace line: time, kind, tower id and detail, tab-separated.
+
+    towers gives each event's tower, in order; every event carries request.
+    """
+    sent = f"mob={request.mob_id} sent={request.timestamp:.9f}"
+    echo = f"echo={request.timestamp:.9f}"
+    for (time, kind, tower_id, _), tower in zip(events, towers):
         if kind is REQUEST_ARRIVES:
             yield f"{time:.9f}\trequest_arrives\t{tower_id}\t{sent}"
         else:
-            pos = site_by_id[tower_id].position
+            pos = tower.position
             yield f"{time:.9f}\tack_arrives\t{tower_id}\t{echo} tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
 
 
-def _ranges(acks: Iterable[Event], site_by_id: dict[int, TowerSite], timing: TimingModel) -> Iterator[RangeMeasurement]:
-    """Each ack's range, from its quantized arrival less the echoed send timestamp."""
+def _ranges(acks: Iterable[Event], towers: Iterable[TowerSite], timing: TimingModel) -> Iterator[RangeMeasurement]:
+    """Each ack's range, from its quantized arrival less the echoed send timestamp; towers gives each ack's tower."""
     resolution = timing.clock_resolution
-    for time, _, tower_id, payload in acks:
+    for (time, _, _, payload), tower in zip(acks, towers):
         turnaround = quantize(time, resolution) - payload.timestamp
         range_m = distance_from_turnaround(turnaround, timing)
-        yield RangeMeasurement(site_by_id[tower_id], turnaround, range_m)
+        yield RangeMeasurement(tower, turnaround, range_m)
 
 
 def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
@@ -401,9 +330,8 @@ def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
     Arrival order is the trace's event order (ties already broken by tower
     id). Each ack's arrival timestamp is quantized by the trace's clock
     resolution before the turn-around time is formed against the echoed
-    send timestamp. On a trace that carries its config's exchange table,
-    an ack's range is converted the first time any trace of the config
-    asks for it and read from the table after that.
+    send timestamp. An ack's range is converted the first time any trace
+    of the config asks for it and read from its exchange table after that.
 
     Raises:
         InsufficientMeasurementsError: if the trace holds fewer than k acks.
@@ -411,16 +339,11 @@ def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     exchange = trace.exchange
-    if exchange is None:
-        acks = [e for e in trace.events if e.kind is ACK_ARRIVES]
-    else:
-        is_ack = exchange.is_ack
-        acks = [s for s in trace.arrived if is_ack[s]]
+    order, n = exchange.order, len(trace.towers)
+    acks = [s for s in trace.arrived if order[s] >= n]
     if len(acks) < k:
         raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
     del acks[k:]
-    if exchange is None:
-        return list(_ranges(acks, {t.id: t for t in trace.towers}, trace.timing))
     return list(map(exchange.measure(acks).__getitem__, acks))
 
 
@@ -429,16 +352,11 @@ def format_trace(trace: Trace) -> str:
 
     Times carry 9 decimal digits; lines appear in event (time) order. The
     output is a pure function of the trace, so identical configs produce
-    byte-identical files. On a trace that carries its config's exchange
-    table, each line is rendered the first time any trace of the config
-    holds it and read from the table after that.
+    byte-identical files. Each line is rendered the first time any trace
+    of the config holds it and read from its exchange table after that.
     """
-    exchange = trace.exchange
-    if exchange is None:
-        lines = _lines(trace.events, {t.id: t for t in trace.towers})
-    else:
-        lines = map(exchange.render(trace.arrived).__getitem__, trace.arrived)
-    return "\n".join(lines) + "\n"
+    arrived = trace.arrived
+    return "\n".join(map(trace.exchange.render(arrived).__getitem__, arrived)) + "\n"
 
 
 def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3) -> str:

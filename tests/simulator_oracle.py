@@ -11,14 +11,23 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from gsmloc.errors import InsufficientMeasurementsError
 from gsmloc.geometry import Point3, TowerSite, distance
-from gsmloc.simulator import MOBILE_ID, Event, EventKind, RequestPacket, ScenarioConfig, Trace
-from gsmloc.timing import distance_from_turnaround, quantize
+from gsmloc.simulator import MOBILE_ID, Event, EventKind, RequestPacket, ScenarioConfig
+from gsmloc.timing import TimingModel, distance_from_turnaround, quantize
 from gsmloc.trilateration import NONNEGATIVE, LocationFix, RangeMeasurement, solve_position
+
+
+class Trace(NamedTuple):
+    """The oracle's trace: the event log and the context its readers need."""
+
+    events: tuple[Event, ...]
+    timing: TimingModel
+    towers: tuple[TowerSite, ...]
 
 
 @dataclass(frozen=True)
