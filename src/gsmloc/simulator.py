@@ -134,7 +134,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for point in [t.position for t in self.towers] + [self.mobile_true_position]:
-            check_magnitude(point.as_tuple(), f"position {list(point.as_tuple())}")
+            xyz = point.as_tuple()
+            # The label costs more than the check, so it is built only for the error.
+            check_magnitude(xyz, lambda: f"position {list(xyz)}")
         if self.timing.mode != ROUND_TRIP:
             raise ConfigError(
                 f"simulate measures round trips; timing mode must be {ROUND_TRIP!r}, got {self.timing.mode!r}"

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +58,16 @@ MAX_MAGNITUDE = 1e75
 Vector3 = tuple[float, float, float]
 
 
-def check_magnitude(values, shown: str) -> None:
-    """Raise ConfigError unless every value is finite and at most MAX_MAGNITUDE in magnitude."""
+def check_magnitude(values, shown: str | Callable[[], str]) -> None:
+    """Raise ConfigError unless every value is finite and at most MAX_MAGNITUDE in magnitude.
+
+    shown names the values in the error; it may be a function that returns
+    the name, called only when the check fails.
+    """
     if not all(abs(v) <= MAX_MAGNITUDE for v in values):
         raise ConfigError(
-            f"numbers must be finite and at most {MAX_MAGNITUDE:g} in absolute value, got {shown}"
+            f"numbers must be finite and at most {MAX_MAGNITUDE:g} in absolute value,"
+            f" got {shown() if callable(shown) else shown}"
         )
 
 

@@ -227,8 +227,12 @@ class TestSimulate:
             ({"packet_loss": True}, "packet_loss must be a number, got True"),
             ({"timing": dict(HEX_CONFIG["timing"], c="3e8")}, "c must be a number, got '3e8'"),
             ({"mobile": [120.0, None, 0.0]}, "mobile[1] must be a number, got None"),
+            (
+                {"towers": {"sites": [{"position": [1e200, 0, 0]}, {"position": [0, 1e200, 0]}, {"position": [0, 0, 0]}]}},
+                "numbers must be finite and at most 1e+75 in absolute value, got position [1e+200, 0.0, 0.0]",
+            ),
         ],
-        ids=["loss-bool", "c-string", "mobile-null"],
+        ids=["loss-bool", "c-string", "mobile-null", "huge-sites"],
     )
     def test_non_number_field_names_the_key(self, tmp_path, capsys, override, message):
         config = write_config(tmp_path / "scenario.json", dict(HEX_CONFIG, **override))
