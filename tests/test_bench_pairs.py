@@ -56,6 +56,23 @@ def test_worse_means_beyond_the_bound(by, verdict):
     assert bench_pairs.compare(PARENT, shifted(PARENT, by), OPS)["verdict"] == verdict
 
 
+WIDE = [80.0, 120.0] * 5  # median 100, Q3 - Q1 = 40, wider than ops_per_s's bound of 20
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    assert bench_pairs.compare(WIDE, WIDE, OPS)["verdict"] == "unresolved"
+    entry = bench_pairs.compare(WIDE, [119.0] * 10, OPS)
+    assert entry["change_wins"] == 5 and entry["verdict"] == "unresolved"
+    assert bench_pairs.compare(WIDE, [125.0] * 10, P50)["verdict"] == "unresolved"
+
+
+def test_a_change_beating_every_parent_run_is_resolved():
+    # 121 beats every parent run, but by less than the parent's spread: no gain
+    entry = bench_pairs.compare(WIDE, [121.0] * 10, OPS)
+    assert entry["change_wins"] == 10 and entry["verdict"] == "within"
+    assert bench_pairs.compare(WIDE, [79.0] * 10, P50)["verdict"] == "within"
+
+
 def test_table_has_a_line_per_metric():
     results = {
         "locate-batch": {

@@ -20,10 +20,14 @@ printed as a table on stdout:
 
     gain    the change won at least 9 in 10 of the pairs, and its median is
             better than the parent's by more than the parent's Q3 - Q1;
-    worse   the change's median is worse than the parent's by more than the
-            metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
-            parent's median;
-    within  anything else.
+    worse       the change's median is worse than the parent's by more
+                than the metric's ``bound`` in ``BENCHMARK.json``, a
+                fraction of the parent's median;
+    unresolved  neither of those, but the parent's own Q3 - Q1 is wider
+                than that bound, so the runs cannot tell a change inside
+                it from none, unless every change run beats every parent
+                run;
+    within      anything else.
 
 Each workload also records, per side, its correct runs and its attempted
 and failed operations, and gets an ``ops_verdict``: ``worse`` when the
@@ -99,10 +103,14 @@ def compare(parent: list[float], change: list[float], spec: dict) -> dict:
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     sides = {"parent": summary(parent), "change": summary(change)}
     gained = sign * (sides["change"]["median"] - sides["parent"]["median"])
-    if wins >= math.ceil(0.9 * len(parent)) and gained > sides["parent"]["q3"] - sides["parent"]["q1"]:
+    spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+    bound = spec["bound"] * abs(sides["parent"]["median"])
+    if wins >= math.ceil(0.9 * len(parent)) and gained > spread:
         verdict = "gain"
-    elif gained < -spec["bound"] * abs(sides["parent"]["median"]):
+    elif gained < -bound:
         verdict = "worse"
+    elif spread > bound and not all(sign * (c - p) > 0 for c in change for p in parent):
+        verdict = "unresolved"
     else:
         verdict = "within"
     return {"unit": spec["unit"], "better": spec["better"], **sides, "change_wins": wins, "verdict": verdict}
