@@ -38,7 +38,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, partial
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -167,10 +168,11 @@ class Exchange:
 
     events holds every tower's request and ack, all sharing the one
     RequestPacket request, in trace order; a slot is an index into it.
-    order[s] is the index j of slot s's event in config order: j % n is
-    its tower's index in towers, and j >= n marks an ack. arrival_order
-    lists the tower indices in request-arrival order, the order the ack
-    losses are drawn in. A trial's trace only picks slots from this table.
+    The integer array order holds, at slot s, the index j of its event in
+    config order: j % n is its tower's index in towers, and j >= n marks an
+    ack. The array arrival_order lists the tower indices in request-arrival
+    order, the order the ack losses are drawn in. A trial's trace only
+    picks slots from this table.
 
     lines and measured hold each slot's trace line and each ack slot's
     RangeMeasurement. render and measure fill them in the first time a
@@ -198,13 +200,14 @@ class Exchange:
         make = partial(tuple.__new__, Event)
         events = list(map(make, zip(arrivals, repeat(REQUEST_ARRIVES), ids, repeat(request))))
         events += map(make, zip(returns, repeat(ACK_ARRIVES), ids, repeat(request)))
-        self.order = order = sorted(range(2 * n), key=events.__getitem__)
+        order = sorted(range(2 * n), key=events.__getitem__)
         self.events = tuple(map(events.__getitem__, order))
-        self.arrival_order = [j for j in order if j < n]
+        self.order = order = np.array(order)
+        self.arrival_order = order[order < n]
         self.lines: list[str | None] = [None] * (2 * n)
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
 
-    def render(self, slots: Sequence[int]) -> list[str | None]:
+    def render(self, slots: Iterable[int]) -> list[str | None]:
         """The line table, with the trace line of every slot in slots filled in."""
         events, lines = self.events, self.lines
         missing = [s for s in slots if lines[s] is None]
@@ -212,7 +215,7 @@ class Exchange:
             lines[s] = line
         return lines
 
-    def measure(self, slots: Sequence[int]) -> list[RangeMeasurement | None]:
+    def measure(self, slots: Iterable[int]) -> list[RangeMeasurement | None]:
         """The range table, with the RangeMeasurement of every ack slot in slots filled in.
 
         Slots are converted in the order given; one whose conversion raises
@@ -225,10 +228,11 @@ class Exchange:
             measured[s] = m
         return measured
 
-    def _towers_of(self, slots: Iterable[int]) -> Iterator[TowerSite]:
+    def _towers_of(self, slots: list[int]) -> Iterator[TowerSite]:
         """Each slot's tower, in order."""
-        towers, order, n = self.towers, self.order, len(self.towers)
-        return (towers[order[s] % n] for s in slots)
+        if not slots:  # the common case once a config's trials have filled the table
+            return iter(())
+        return map(self.towers.__getitem__, (self.order[slots] % len(self.towers)).tolist())
 
 
 def _picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) -> Trace:
@@ -238,13 +242,11 @@ def _picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) 
         rng = np.random.default_rng([config.rng_seed, trial_index])
         n = len(config.towers)
         # keep[j] for event j in config order: the request to tower j % n, or its ack if j >= n.
-        keep = [draw >= loss for draw in rng.random(n).tolist()]
-        requests = list(compress(exchange.arrival_order, map(keep.__getitem__, exchange.arrival_order)))
-        keep += repeat(False, n)
-        for i, draw in zip(requests, rng.random(len(requests)).tolist()):
-            if draw >= loss:
-                keep[n + i] = True
-        arrived = list(compress(range(2 * n), map(keep.__getitem__, exchange.order)))
+        keep = np.zeros(2 * n, dtype=bool)
+        keep[:n] = rng.random(n) >= loss
+        requests = exchange.arrival_order[keep[exchange.arrival_order]]
+        keep[n + requests[rng.random(len(requests)) >= loss]] = True
+        arrived = np.flatnonzero(keep[exchange.order]).tolist()
         events = tuple(map(exchange.events.__getitem__, arrived))
     else:
         arrived = range(len(exchange.events))
@@ -340,13 +342,11 @@ def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    exchange = trace.exchange
-    order, n = exchange.order, len(trace.towers)
-    acks = [s for s in trace.arrived if order[s] >= n]
+    # An event's kind is truthy exactly for an ack (ACK_ARRIVES is 1).
+    acks = list(islice(compress(trace.arrived, map(attrgetter("kind"), trace.events)), k))
     if len(acks) < k:
         raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
-    del acks[k:]
-    return list(map(exchange.measure(acks).__getitem__, acks))
+    return list(map(trace.exchange.measure(acks).__getitem__, acks))
 
 
 def format_trace(trace: Trace) -> str:
