@@ -230,7 +230,7 @@ class Exchange:
 
     def _towers_of(self, slots: list[int]) -> Iterator[TowerSite]:
         """Each slot's tower, in order."""
-        if not slots:  # the common case once a config's trials have filled the table
+        if not slots:  # as on most trials once the table is filled: skip numpy's fixed cost
             return iter(())
         return map(self.towers.__getitem__, (self.order[slots] % len(self.towers)).tolist())
 
