@@ -168,11 +168,10 @@ class Exchange:
 
     events holds every tower's request and ack, all sharing the one
     RequestPacket request, in trace order; a slot is an index into it.
-    The integer array order holds, at slot s, the index j of its event in
-    config order: j % n is its tower's index in towers, and j >= n marks an
-    ack. The array arrival_order lists the tower indices in request-arrival
-    order, the order the ack losses are drawn in. A trial's trace only
-    picks slots from this table.
+    order[s] is the index j of slot s's event in config order: j % n is
+    its tower's index in towers, and j >= n marks an ack. arrival_order
+    lists the tower indices in request-arrival order, the order the ack
+    losses are drawn in. A trial's trace only picks slots from this table.
 
     lines and measured hold each slot's trace line and each ack slot's
     RangeMeasurement. render and measure fill them in the first time a
@@ -200,10 +199,9 @@ class Exchange:
         make = partial(tuple.__new__, Event)
         events = list(map(make, zip(arrivals, repeat(REQUEST_ARRIVES), ids, repeat(request))))
         events += map(make, zip(returns, repeat(ACK_ARRIVES), ids, repeat(request)))
-        order = sorted(range(2 * n), key=events.__getitem__)
+        self.order = order = sorted(range(2 * n), key=events.__getitem__)
         self.events = tuple(map(events.__getitem__, order))
-        self.order = order = np.array(order)
-        self.arrival_order = order[order < n]
+        self.arrival_order = [j for j in order if j < n]
         self.lines: list[str | None] = [None] * (2 * n)
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
 
@@ -228,11 +226,10 @@ class Exchange:
             measured[s] = m
         return measured
 
-    def _towers_of(self, slots: list[int]) -> Iterator[TowerSite]:
+    def _towers_of(self, slots: Iterable[int]) -> Iterator[TowerSite]:
         """Each slot's tower, in order."""
-        if not slots:  # as on most trials once the table is filled: skip numpy's fixed cost
-            return iter(())
-        return map(self.towers.__getitem__, (self.order[slots] % len(self.towers)).tolist())
+        towers, order, n = self.towers, self.order, len(self.towers)
+        return (towers[order[s] % n] for s in slots)
 
 
 def _picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) -> Trace:
@@ -242,11 +239,12 @@ def _picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) 
         rng = np.random.default_rng([config.rng_seed, trial_index])
         n = len(config.towers)
         # keep[j] for event j in config order: the request to tower j % n, or its ack if j >= n.
-        keep = np.zeros(2 * n, dtype=bool)
-        keep[:n] = rng.random(n) >= loss
-        requests = exchange.arrival_order[keep[exchange.arrival_order]]
-        keep[n + requests[rng.random(len(requests)) >= loss]] = True
-        arrived = np.flatnonzero(keep[exchange.order]).tolist()
+        keep = (rng.random(n) >= loss).tolist()
+        requests = list(compress(exchange.arrival_order, map(keep.__getitem__, exchange.arrival_order)))
+        keep += repeat(False, n)
+        for i in compress(requests, (rng.random(len(requests)) >= loss).tolist()):
+            keep[n + i] = True
+        arrived = list(compress(range(2 * n), map(keep.__getitem__, exchange.order)))
         events = tuple(map(exchange.events.__getitem__, arrived))
     else:
         arrived = range(len(exchange.events))
