@@ -167,16 +167,16 @@ class Exchange:
     """Everything one config's exchange can hold, computed once.
 
     events holds every tower's request and ack, all sharing the one
-    RequestPacket request, in trace order; a slot is an index into it.
-    order[s] is the index j of slot s's event in config order: j % n is
-    its tower's index in towers, and j >= n marks an ack. arrival_order
+    RequestPacket request, in trace order; the slots are the indices into
+    it. order[s] is the index j, in config order, of the event at s: j % n
+    is its tower's index in towers, and j >= n marks an ack. arrival_order
     lists the tower indices in request-arrival order, the order the ack
     losses are drawn in. A trial's trace only picks slots from this table.
 
-    lines and measured hold each slot's trace line and each ack slot's
-    RangeMeasurement. render and measure fill them in the first time a
-    trace asks for them; every later trial of the config reads them, as
-    they depend on the config alone. A conversion that raises stores
+    lines and measured hold, at each event's index, its trace line and,
+    for an ack, its RangeMeasurement. render and measure fill them in the
+    first time a trace asks for them; every later trial of the config
+    reads them, as they depend on the config alone. A conversion that raises stores
     nothing, so its error recurs.
     """
 
@@ -206,7 +206,7 @@ class Exchange:
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
 
     def render(self, slots: Iterable[int]) -> list[str | None]:
-        """The line table, with the trace line of every slot in slots filled in."""
+        """The line table, with the trace line at each of slots filled in."""
         events, lines = self.events, self.lines
         missing = [s for s in slots if lines[s] is None]
         for s, line in zip(missing, _lines(self.request, map(events.__getitem__, missing), self._towers_of(missing))):
@@ -214,7 +214,7 @@ class Exchange:
         return lines
 
     def measure(self, slots: Iterable[int]) -> list[RangeMeasurement | None]:
-        """The range table, with the RangeMeasurement of every ack slot in slots filled in.
+        """The range table, with the RangeMeasurement at each ack of slots filled in.
 
         Slots are converted in the order given; one whose conversion raises
         stays empty, and the error propagates.
@@ -227,7 +227,7 @@ class Exchange:
         return measured
 
     def _towers_of(self, slots: Iterable[int]) -> Iterator[TowerSite]:
-        """Each slot's tower, in order."""
+        """The tower at each of slots, in order."""
         towers, order, n = self.towers, self.order, len(self.towers)
         return (towers[order[s] % n] for s in slots)
 
