@@ -176,8 +176,8 @@ class Exchange:
     lines and measured hold, at each event's index, its trace line and,
     for an ack, its RangeMeasurement. render and measure fill them in the
     first time a trace asks for them; every later trial of the config
-    reads them, as they depend on the config alone. A conversion that raises stores
-    nothing, so its error recurs.
+    reads them, as they depend on the config alone. A conversion that
+    raises stores nothing, so its error recurs.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -205,7 +205,7 @@ class Exchange:
         self.lines: list[str | None] = [None] * (2 * n)
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
 
-    def render(self, slots: Iterable[int]) -> list[str | None]:
+    def render(self, slots: Sequence[int]) -> list[str | None]:
         """The line table, with the trace line at each of slots filled in."""
         events, lines = self.events, self.lines
         missing = [s for s in slots if lines[s] is None]
@@ -213,7 +213,7 @@ class Exchange:
             lines[s] = line
         return lines
 
-    def measure(self, slots: Iterable[int]) -> list[RangeMeasurement | None]:
+    def measure(self, slots: Sequence[int]) -> list[RangeMeasurement | None]:
         """The range table, with the RangeMeasurement at each ack of slots filled in.
 
         Slots are converted in the order given; one whose conversion raises
