@@ -18,8 +18,9 @@ the commits, seeds, host, and Python and numpy versions. A run that exits
 nonzero or prints no result line stops the script. The verdicts are also
 printed as a table on stdout:
 
-    gain    the change won at least 9 in 10 of the pairs, and its median is
-            better than the parent's by more than the parent's Q3 - Q1;
+    gain        the change won at least 9 in 10 of the pairs, and its
+                median is better than the parent's by more than the
+                parent's Q3 - Q1;
     worse       the change's median is worse than the parent's by more
                 than the metric's ``bound`` in ``BENCHMARK.json``, a
                 fraction of the parent's median;
