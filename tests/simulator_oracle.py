@@ -5,6 +5,8 @@ ack carries an ``AckPacket`` that repeats the tower's id and position.
 ``first_k_acks`` and ``format_trace`` are the versions that read those
 packets. ``gsmloc.simulator.run_scenario`` must give the same events,
 measurements, fix and rendered trace, or raise the same error.
+``measurement_csv`` measures every row's actual distance and formats the
+row afresh; ``gsmloc.simulator.measurement_csv`` must give the same text.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from gsmloc.errors import InsufficientMeasurementsError
 from gsmloc.geometry import Point3, TowerSite, distance
 from gsmloc.simulator import MOBILE_ID, Event, EventKind, RequestPacket, ScenarioConfig
-from gsmloc.timing import TimingModel, distance_from_turnaround, quantize
+from gsmloc.timing import TimingModel, distance_from_turnaround, percent_error, quantize
 from gsmloc.trilateration import NONNEGATIVE, LocationFix, RangeMeasurement, solve_position
 
 
@@ -165,4 +167,22 @@ def format_trace(trace: Trace) -> str:
                 f" tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
             )
         lines.append(f"{event.time:.9f}\t{kind}\t{event.tower_id}\t{detail}")
+    return "\n".join(lines) + "\n"
+
+
+def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3) -> str:
+    """Render measurements as CSV mirroring a calibration table's columns.
+
+    Columns: tower_id, turnaround_s, distance_m, actual_m, pct_error. Rows
+    keep the measurement order (ascending turn-around time). The percent
+    error column is left empty when the actual distance is zero.
+    """
+    lines = ["tower_id,turnaround_s,distance_m,actual_m,pct_error"]
+    for m in measurements:
+        actual = distance(true_position, m.tower.position)
+        if actual == 0:
+            pct = ""
+        else:
+            pct = f"{percent_error(actual, m.range_m):.2f}"
+        lines.append(f"{m.tower.id},{m.turnaround:.9e},{m.range_m:.3f},{actual:.3f},{pct}")
     return "\n".join(lines) + "\n"
