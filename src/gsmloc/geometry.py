@@ -59,14 +59,15 @@ def hex_cell_layout(center: Point3, radius: float, n_rings: int = 1) -> list[Tow
 
     Args:
         center: Cell center (typically the mobile's nominal position).
-        radius: Ring spacing in meters; must be positive.
+        radius: Ring spacing in meters; must be positive and finite.
         n_rings: Number of rings, 1 to MAX_RINGS.
 
     Returns:
         List of TowerSite, 6 * n_rings * (n_rings + 1) / 2 entries.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    # Written so that NaN fails too.
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if not 1 <= n_rings <= MAX_RINGS:
         raise ValueError(f"n_rings must be in [1, {MAX_RINGS}], got {n_rings}")
     sites: list[TowerSite] = []

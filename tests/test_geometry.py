@@ -78,6 +78,9 @@ class TestHexCellLayout:
             hex_cell_layout(Point3(0, 0, 0), 0.0, 1)
         with pytest.raises(ValueError):
             hex_cell_layout(Point3(0, 0, 0), -3.0, 1)
+        for radius in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius"):
+                hex_cell_layout(Point3(0, 0, 0), radius, 1)
         with pytest.raises(ValueError):
             hex_cell_layout(Point3(0, 0, 0), 10.0, 0)
 
