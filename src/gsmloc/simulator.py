@@ -20,11 +20,12 @@ scalar calls, so the batches equal one draw per packet in the same order.
 
 Only the loss draws differ from one trial of a config to the next. So a
 config keeps an Exchange table, built by its first trial: every tower's
-distance, both arrival times and both events, already in trace order,
-plus each event's trace line and each ack's range, filled in the first
-time they are asked for. Every trial draws its losses and keeps the
-indices of the events that survive; first_k_acks and format_trace read
-the table through its trace.
+distance from the mobile, both arrival times and both events, already in
+trace order, plus each event's trace line and each ack's range and
+measurements.csv row, filled in the first time they are asked for. Every
+trial draws its losses and keeps the indices of the events that survive;
+first_k_acks and format_trace read the table through its trace, and
+measurement_csv through first_k_acks' list while that list is unchanged.
 
 ScenarioConfig rejects a config the simulator cannot run, so a library
 caller gets the ConfigError the CLI reports. Only a clock too fine to
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, partial
 from itertools import compress, islice, repeat
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 import numpy as np
@@ -171,26 +172,29 @@ class Exchange:
     it. order[s] is the index j, in config order, of the event at s: j % n
     is its tower's index in towers, and j >= n marks an ack. arrival_order
     lists the tower indices in request-arrival order, the order the ack
-    losses are drawn in. A trial's trace only picks slots from this table.
+    losses are drawn in. ds[i] is tower i's distance from mobile, the
+    config's true position. A trial's trace only picks slots from this
+    table.
 
-    lines and measured hold, at each event's index, its trace line and,
-    for an ack, its RangeMeasurement. render and measure fill them in the
-    first time a trace asks for them; every later trial of the config
-    reads them, as they depend on the config alone. A conversion that
-    raises stores nothing, so its error recurs.
+    lines, measured and rows hold, at each event's index, its trace line
+    and, for an ack, its RangeMeasurement and its measurements.csv row
+    against mobile. render, measure and tabulate fill them in the first
+    time a trace asks for them; every later trial of the config reads
+    them, as they depend on the config alone. A conversion that raises
+    stores nothing, so its error recurs.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.timing = config.timing
         self.towers = towers = config.towers
+        self.mobile = mobile = config.mobile_true_position
         t0 = config.request_time
         c = config.timing.c
         delay = config.tower_processing_delay
-        mobile = config.mobile_true_position
         self.request = request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
 
         n = len(towers)
-        ds = [distance(mobile, tower.position) for tower in towers]
+        self.ds = ds = [distance(mobile, tower.position) for tower in towers]
         arrivals = [t0 + d / c for d in ds]
         # Summed in this order, not as t0 + 2*d/c + delay: the rounding shows in traces.
         returns = [arrival + delay + d / c for arrival, d in zip(arrivals, ds)]
@@ -204,6 +208,7 @@ class Exchange:
         self.arrival_order = [j for j in order if j < n]
         self.lines: list[str | None] = [None] * (2 * n)
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
+        self.rows: list[str | None] = [None] * (2 * n)
 
     def render(self, slots: Sequence[int]) -> list[str | None]:
         """The line table, with the trace line at each of slots filled in."""
@@ -225,6 +230,17 @@ class Exchange:
         for s, m in zip(missing, _ranges(acks, self._towers_of(missing), self.timing)):
             measured[s] = m
         return measured
+
+    def tabulate(self, slots: Sequence[int]) -> list[str | None]:
+        """The row table, with the measurements.csv row at each ack of slots filled in.
+
+        Each of slots must already hold its RangeMeasurement in measured.
+        """
+        measured, rows, ds, order, n = self.measured, self.rows, self.ds, self.order, len(self.towers)
+        for s in slots:
+            if rows[s] is None:
+                rows[s] = _csv_row(measured[s], ds[order[s] % n])
+        return rows
 
     def _towers_of(self, slots: Iterable[int]) -> Iterator[TowerSite]:
         """The tower at each of slots, in order."""
@@ -326,7 +342,16 @@ def _ranges(acks: Iterable[Event], towers: Iterable[TowerSite], timing: TimingMo
         yield RangeMeasurement(tower, turnaround, range_m)
 
 
-def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
+class Acks(list):
+    """first_k_acks' RangeMeasurements, naming the exchange table and the slots they were read from."""
+
+    __slots__ = ("exchange", "slots")
+
+    exchange: Exchange
+    slots: list[int]
+
+
+def first_k_acks(trace: Trace, k: int) -> Acks:
     """The first k acknowledgments by arrival time, converted to ranges.
 
     Arrival order is the trace's event order (ties already broken by tower
@@ -334,6 +359,8 @@ def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
     resolution before the turn-around time is formed against the echoed
     send timestamp. An ack's range is converted the first time any trace
     of the config asks for it and read from its exchange table after that.
+    The list returned also names that table and the acks' slots in it,
+    which lets measurement_csv read the table's rows.
 
     Raises:
         InsufficientMeasurementsError: if the trace holds fewer than k acks.
@@ -344,7 +371,10 @@ def first_k_acks(trace: Trace, k: int) -> list[RangeMeasurement]:
     acks = list(islice(compress(trace.arrived, map(attrgetter("kind"), trace.events)), k))
     if len(acks) < k:
         raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
-    return list(map(trace.exchange.measure(acks).__getitem__, acks))
+    exchange = trace.exchange
+    picked = Acks(map(exchange.measure(acks).__getitem__, acks))
+    picked.exchange, picked.slots = exchange, acks
+    return picked
 
 
 def format_trace(trace: Trace) -> str:
@@ -363,15 +393,39 @@ def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3)
     """Render measurements as CSV mirroring a calibration table's columns.
 
     Columns: tower_id, turnaround_s, distance_m, actual_m, pct_error. Rows
-    keep the measurement order (ascending turn-around time). The percent
-    error column is left empty when the actual distance is zero.
+    keep the measurement order (ascending turn-around time). actual_m is
+    the distance from true_position to the tower, and pct_error is
+    (actual_m - distance_m) / actual_m * 100, left empty when the actual
+    distance is zero.
+
+    When measurements is a list first_k_acks returned, with every item
+    still its exchange table's own, and true_position is or equals the
+    table's mobile, the rows come from the table, each formatted the first
+    time any trace of the config asks for it. Any other list or position
+    is measured and formatted row by row, to the same text.
     """
-    lines = ["tower_id,turnaround_s,distance_m,actual_m,pct_error"]
-    for m in measurements:
-        actual = distance(true_position, m.tower.position)
-        if actual == 0:
-            pct = ""
-        else:
-            pct = f"{percent_error(actual, m.range_m):.2f}"
-        lines.append(f"{m.tower.id},{m.turnaround:.9e},{m.range_m:.3f},{actual:.3f},{pct}")
-    return "\n".join(lines) + "\n"
+    if _from_table(measurements, true_position):
+        slots = measurements.slots
+        rows = map(measurements.exchange.tabulate(slots).__getitem__, slots)
+    else:
+        rows = (_csv_row(m, distance(true_position, m.tower.position)) for m in measurements)
+    return "\n".join(["tower_id,turnaround_s,distance_m,actual_m,pct_error", *rows]) + "\n"
+
+
+def _from_table(measurements: list[RangeMeasurement], true_position: Point3) -> bool:
+    """Whether measurements are first_k_acks' list, unchanged, and true_position is its table's mobile."""
+    if not isinstance(measurements, Acks):
+        return False
+    exchange, slots = measurements.exchange, measurements.slots
+    mobile = exchange.mobile
+    return (
+        (true_position is mobile or true_position == mobile)
+        and len(measurements) == len(slots)
+        and all(map(is_, measurements, map(exchange.measured.__getitem__, slots)))
+    )
+
+
+def _csv_row(m: RangeMeasurement, actual: float) -> str:
+    """One measurements.csv row: the percent error is left empty when the actual distance is zero."""
+    pct = "" if actual == 0 else f"{percent_error(actual, m.range_m):.2f}"
+    return f"{m.tower.id},{m.turnaround:.9e},{m.range_m:.3f},{actual:.3f},{pct}"

@@ -20,6 +20,7 @@ from gsmloc.simulator import (
     run_trials,
 )
 from gsmloc.timing import ONE_WAY, SPEED_OF_LIGHT, TimingModel
+from gsmloc.trilateration import RangeMeasurement
 
 RIGHT_TRIANGLE = (
     TowerSite(0, Point3(0, 0, 0)),
@@ -352,6 +353,15 @@ def _trial(config, trial_index):
         return type(exc), str(exc)
 
 
+def _every_ack(config, trial_index):
+    """first_k_acks over every ack of one trial, or None if the trial raises."""
+    try:
+        trace = run_scenario(config, trial_index)[0]
+    except (GsmlocError, ValueError):
+        return None
+    return first_k_acks(trace, sum(1 for e in trace.events if e.kind is EventKind.ACK_ARRIVES))
+
+
 def _lossy_hex_config(**overrides):
     return basic_config(
         towers=tuple(hex_cell_layout(Point3(0, 0, 0), 800.0, 2)),
@@ -392,10 +402,39 @@ class TestExchangeTable:
 
     def test_first_trial_picks_from_the_table(self, distance_calls):
         config = _lossy_hex_config()
-        assert run_scenario(config, 0)[0].exchange is config.exchange
-        run_scenario(config, 1)
-        run_scenario(config, 2)
+        for trial_index in range(3):
+            trace = run_scenario(config, trial_index)[0]
+            assert trace.exchange is config.exchange
+            n_acks = sum(1 for e in trace.events if e.kind is EventKind.ACK_ARRIVES)
+            measurement_csv(first_k_acks(trace, n_acks), config.mobile_true_position)
         assert len(distance_calls) == len(config.towers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(scenario_configs(), hex_configs()),
+        st.lists(st.integers(0, 7), min_size=1, max_size=4),
+        st.integers(0, 10**6),
+    )
+    def test_measurement_csv_matches_the_per_row_oracle(self, config, trial_indices, pick):
+        # the mobile on a tower leaves that ack's pct_error blank
+        on_tower = dataclasses.replace(config, mobile_true_position=config.towers[pick % len(config.towers)].position)
+        for reused in (config, on_tower):
+            for trial_index in trial_indices:
+                for run_config in (reused, dataclasses.replace(reused)):
+                    if _every_ack(run_config, trial_index) is None:
+                        continue
+                    mobile = run_config.mobile_true_position
+                    elsewhere = Point3(mobile.x + 250.0, mobile.y - 250.0, 0.0)
+                    for truth in (mobile, Point3(*mobile.as_tuple()), elsewhere):
+                        acks = _every_ack(run_config, trial_index)
+                        assert measurement_csv(acks, truth) == oracle.measurement_csv(acks, truth)
+                    replaced, appended = _every_ack(run_config, trial_index), _every_ack(run_config, trial_index)
+                    first = replaced[0]
+                    replaced[0] = RangeMeasurement(first.tower, first.turnaround, 2.0 * first.range_m + 1.0)
+                    appended.append(first)
+                    sliced = _every_ack(run_config, trial_index)[1:]
+                    for changed in (replaced, appended, sliced):
+                        assert measurement_csv(changed, mobile) == oracle.measurement_csv(changed, mobile)
 
     def test_traces_of_equal_configs_compare_equal(self):
         config = _lossy_hex_config()
