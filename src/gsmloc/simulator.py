@@ -347,8 +347,9 @@ class Acks(list):
 
     __slots__ = ("exchange", "slots")
 
-    exchange: Exchange
-    slots: list[int]
+    def __init__(self, measurements: Iterable[RangeMeasurement], exchange: Exchange, slots: list[int]):
+        super().__init__(measurements)
+        self.exchange, self.slots = exchange, slots
 
 
 def first_k_acks(trace: Trace, k: int) -> Acks:
@@ -371,10 +372,7 @@ def first_k_acks(trace: Trace, k: int) -> Acks:
     acks = list(islice(compress(trace.arrived, map(attrgetter("kind"), trace.events)), k))
     if len(acks) < k:
         raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
-    exchange = trace.exchange
-    picked = Acks(map(exchange.measure(acks).__getitem__, acks))
-    picked.exchange, picked.slots = exchange, acks
-    return picked
+    return Acks(map(trace.exchange.measure(acks).__getitem__, acks), trace.exchange, acks)
 
 
 def format_trace(trace: Trace) -> str:
