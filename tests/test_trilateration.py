@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gsmloc import trilateration
 from gsmloc.errors import DegenerateGeometryError, GsmlocError, InsufficientMeasurementsError
-from gsmloc.geometry import Point3, TowerSite, distance
+from gsmloc.geometry import Point3, TowerSite
 from gsmloc.timing import SPEED_OF_LIGHT
 from gsmloc.trilateration import (
     LEAST_SQUARES,
