@@ -21,11 +21,13 @@ scalar calls, so the batches equal one draw per packet in the same order.
 Only the loss draws differ from one trial of a config to the next. So a
 config keeps an Exchange table, built by its first trial: every tower's
 distance from the mobile, both arrival times and both events, already in
-trace order, plus each event's trace line and each ack's range and
-measurements.csv row, filled in the first time they are asked for. Every
-trial draws its losses and keeps the indices of the events that survive;
-first_k_acks and format_trace read the table through its trace, and
-measurement_csv through first_k_acks' list while that list is unchanged.
+trace order, and each event's trace line, since none of these can fail.
+Each ack's range and measurements.csv row are filled in together the first
+time a trace reads that ack: converting a range can raise, and which acks
+a trial reads decides whether it does. Every trial draws its losses and
+keeps the indices of the events that survive; first_k_acks and
+format_trace read the table through its trace, and measurement_csv through
+first_k_acks' list while that list is unchanged.
 
 ScenarioConfig rejects a config the simulator cannot run, so a library
 caller gets the ConfigError the CLI reports. Only a clock too fine to
@@ -96,8 +98,8 @@ class Trace:
     """Ordered event log of one exchange plus the context to re-derive ranges.
 
     A trace also carries its config's exchange table and the slots of its
-    events there, in ascending order; first_k_acks and format_trace read
-    the table's ranges and lines, and the trace keeps the whole table
+    events there, in ascending order; format_trace reads the table's lines
+    and first_k_acks its ranges, and the trace keeps the whole table
     alive. Neither takes part in equality: two traces are equal when their
     events, timing and towers are, whichever configs they came from.
     """
@@ -117,6 +119,11 @@ class ScenarioConfig:
     the ack leaves; at the mobile it is indistinguishable from any other
     constant delay, so recovery is exact when timing.alpha equals it.
     packet_loss is an extension beyond the basic protocol and defaults off.
+    request_time is absolute, and every arrival is a double near it, so a
+    large one rounds the arrivals: at a Unix-epoch 1.7e9 s the spacing of
+    doubles is 2.4e-7 s, about 36 m of round-trip range, and the fix moves
+    by tens of metres with no error raised. Keep it small; the ranges
+    depend only on the time since the request.
 
     Raises ConfigError for what the simulator cannot run, whoever builds
     the config: fewer than 3 towers, repeated tower ids, a timing mode
@@ -167,34 +174,36 @@ class ScenarioConfig:
 class Exchange:
     """Everything one config's exchange can hold, computed once.
 
-    events holds every tower's request and ack, all sharing the one
-    RequestPacket request, in trace order; the slots are the indices into
-    it. order[s] is the index j, in config order, of the event at s: j % n
-    is its tower's index in towers, and j >= n marks an ack. arrival_order
-    lists the tower indices in request-arrival order, the order the ack
-    losses are drawn in. ds[i] is tower i's distance from mobile, the
-    config's true position. A trial's trace only picks slots from this
-    table.
+    events holds every tower's request and ack, all sharing one
+    RequestPacket, in trace order; the slots are the indices into it.
+    order[s] is the index j, in config order, of the event at s: j % n is
+    its tower's index in the config's towers, and j >= n marks an ack.
+    arrival_order lists the tower indices in request-arrival order, the
+    order the ack losses are drawn in. sites[s] is the tower of the event
+    at s, and ds[s] that tower's distance from mobile, the config's true
+    position. A trial's trace only picks slots from this table.
 
-    lines, measured and rows hold, at each event's index, its trace line
-    and, for an ack, its RangeMeasurement and its measurements.csv row
-    against mobile. render, measure and tabulate fill them in the first
-    time a trace asks for them; every later trial of the config reads
-    them, as they depend on the config alone. A conversion that raises
+    lines[s] is the trace line of the event at s, rendered with the table:
+    rendering cannot fail, and every trace's output reads its lines.
+    measured[s] and rows[s] hold an ack's RangeMeasurement and its
+    measurements.csv row against mobile. measure fills both together the
+    first time a trace reads that ack, and every later trial of the config
+    reads them. They stay lazy because a conversion can raise, and which
+    acks a trial reads decides whether it does; a conversion that raises
     stores nothing, so its error recurs.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.timing = config.timing
-        self.towers = towers = config.towers
+        towers = config.towers
         self.mobile = mobile = config.mobile_true_position
         t0 = config.request_time
         c = config.timing.c
         delay = config.tower_processing_delay
-        self.request = request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
+        request = RequestPacket(timestamp=t0, mob_id=MOBILE_ID)
 
         n = len(towers)
-        self.ds = ds = [distance(mobile, tower.position) for tower in towers]
+        ds = [distance(mobile, tower.position) for tower in towers]
         arrivals = [t0 + d / c for d in ds]
         # Summed in this order, not as t0 + 2*d/c + delay: the rounding shows in traces.
         returns = [arrival + delay + d / c for arrival, d in zip(arrivals, ds)]
@@ -206,46 +215,30 @@ class Exchange:
         self.order = order = sorted(range(2 * n), key=events.__getitem__)
         self.events = tuple(map(events.__getitem__, order))
         self.arrival_order = [j for j in order if j < n]
-        self.lines: list[str | None] = [None] * (2 * n)
+        at = [j % n for j in order]
+        self.sites = list(map(towers.__getitem__, at))
+        self.ds = list(map(ds.__getitem__, at))
+        self.lines = list(_lines(request, self.events, self.sites))
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
         self.rows: list[str | None] = [None] * (2 * n)
 
-    def render(self, slots: Sequence[int]) -> list[str | None]:
-        """The line table, with the trace line at each of slots filled in."""
-        events, lines = self.events, self.lines
-        missing = [s for s in slots if lines[s] is None]
-        for s, line in zip(missing, _lines(self.request, map(events.__getitem__, missing), self._towers_of(missing))):
-            lines[s] = line
-        return lines
-
     def measure(self, slots: Sequence[int]) -> list[RangeMeasurement | None]:
-        """The range table, with the RangeMeasurement at each ack of slots filled in.
+        """The range table, with the RangeMeasurement and measurements.csv row of each ack of slots filled in.
 
-        Slots are converted in the order given; one whose conversion raises
-        stays empty, and the error propagates.
+        An ack's range comes from its quantized arrival less the echoed send
+        timestamp. Slots are converted in the order given; one whose
+        conversion raises stays empty in both tables, and the error
+        propagates.
         """
-        events, measured = self.events, self.measured
-        missing = [s for s in slots if measured[s] is None]
-        acks = map(events.__getitem__, missing)
-        for s, m in zip(missing, _ranges(acks, self._towers_of(missing), self.timing)):
-            measured[s] = m
-        return measured
-
-    def tabulate(self, slots: Sequence[int]) -> list[str | None]:
-        """The row table, with the measurements.csv row at each ack of slots filled in.
-
-        Each of slots must already hold its RangeMeasurement in measured.
-        """
-        measured, rows, ds, order, n = self.measured, self.rows, self.ds, self.order, len(self.towers)
+        measured, timing = self.measured, self.timing
         for s in slots:
-            if rows[s] is None:
-                rows[s] = _csv_row(measured[s], ds[order[s] % n])
-        return rows
-
-    def _towers_of(self, slots: Iterable[int]) -> Iterator[TowerSite]:
-        """The tower at each of slots, in order."""
-        towers, order, n = self.towers, self.order, len(self.towers)
-        return (towers[order[s] % n] for s in slots)
+            if measured[s] is None:
+                time, _, _, payload = self.events[s]
+                turnaround = quantize(time, timing.clock_resolution) - payload.timestamp
+                m = RangeMeasurement(self.sites[s], turnaround, distance_from_turnaround(turnaround, timing))
+                self.rows[s] = _csv_row(m, self.ds[s])
+                measured[s] = m
+        return measured
 
 
 def _picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) -> Trace:
@@ -333,15 +326,6 @@ def _lines(request: RequestPacket, events: Iterable[Event], towers: Iterable[Tow
             yield f"{time:.9f}\tack_arrives\t{tower_id}\t{echo} tower_pos={pos.x:.3f},{pos.y:.3f},{pos.z:.3f}"
 
 
-def _ranges(acks: Iterable[Event], towers: Iterable[TowerSite], timing: TimingModel) -> Iterator[RangeMeasurement]:
-    """Each ack's range, from its quantized arrival less the echoed send timestamp; towers gives each ack's tower."""
-    resolution = timing.clock_resolution
-    for (time, _, _, payload), tower in zip(acks, towers):
-        turnaround = quantize(time, resolution) - payload.timestamp
-        range_m = distance_from_turnaround(turnaround, timing)
-        yield RangeMeasurement(tower, turnaround, range_m)
-
-
 class Acks(list):
     """first_k_acks' RangeMeasurements, naming the exchange table and the slots they were read from."""
 
@@ -358,8 +342,9 @@ def first_k_acks(trace: Trace, k: int) -> Acks:
     Arrival order is the trace's event order (ties already broken by tower
     id). Each ack's arrival timestamp is quantized by the trace's clock
     resolution before the turn-around time is formed against the echoed
-    send timestamp. An ack's range is converted the first time any trace
-    of the config asks for it and read from its exchange table after that.
+    send timestamp. An ack's range is converted, with its measurements.csv
+    row, the first time any trace of the config reads it, and read from
+    its exchange table after that.
     The list returned also names that table and the acks' slots in it,
     which lets measurement_csv read the table's rows.
 
@@ -380,11 +365,10 @@ def format_trace(trace: Trace) -> str:
 
     Times carry 9 decimal digits; lines appear in event (time) order. The
     output is a pure function of the trace, so identical configs produce
-    byte-identical files. Each line is rendered the first time any trace
-    of the config holds it and read from its exchange table after that.
+    byte-identical files. Each line is read from the config's exchange
+    table, which renders every line when it is built.
     """
-    arrived = trace.arrived
-    return "\n".join(map(trace.exchange.render(arrived).__getitem__, arrived)) + "\n"
+    return "\n".join(map(trace.exchange.lines.__getitem__, trace.arrived)) + "\n"
 
 
 def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3) -> str:
@@ -398,13 +382,12 @@ def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3)
 
     When measurements is a list first_k_acks returned, with every item
     still its exchange table's own, and true_position is or equals the
-    table's mobile, the rows come from the table, each formatted the first
-    time any trace of the config asks for it. Any other list or position
-    is measured and formatted row by row, to the same text.
+    table's mobile, the rows come from the table, where first_k_acks
+    formatted each with its range. Any other list or position is measured
+    and formatted row by row, to the same text.
     """
     if _from_table(measurements, true_position):
-        slots = measurements.slots
-        rows = map(measurements.exchange.tabulate(slots).__getitem__, slots)
+        rows = map(measurements.exchange.rows.__getitem__, measurements.slots)
     else:
         rows = (_csv_row(m, distance(true_position, m.tower.position)) for m in measurements)
     return "\n".join(["tower_id,turnaround_s,distance_m,actual_m,pct_error", *rows]) + "\n"
