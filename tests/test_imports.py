@@ -1,7 +1,7 @@
 """Every module reads each name it imports.
 
-No linter runs on this repository, so this test makes the one check of
-one: an imported name the module never uses. src/gsmloc/__init__.py is
+No linter runs on this repository, so this test makes one of a linter's
+checks: an imported name the module never uses. src/gsmloc/__init__.py is
 left out, because its imports are the package's public API.
 """
 

@@ -269,9 +269,9 @@ def scenario_configs(draw):
     """3-12 towers with arbitrary unique ids on a coarse grid.
 
     The grid makes distances tie and lets sites coincide with each other
-    or with the mobile. An alpha a few hundred metres of round trip above
-    the processing delay makes near towers' acks raise NegativeIntervalError
-    while a trial that lost them can still fix.
+    or with the mobile. An alpha 300 m of range above the processing delay
+    makes near towers' acks raise NegativeIntervalError while a trial that
+    lost them can still fix.
     """
     n = draw(st.integers(3, 12))
     ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
