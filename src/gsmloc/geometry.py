@@ -20,9 +20,12 @@ class Point3:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"Point3.{name} must be finite, got {getattr(self, name)!r}")
+        # Checked field by field only to name the bad one: hex_cell_layout
+        # builds tens of thousands of points.
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+            for name in ("x", "y", "z"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"Point3.{name} must be finite, got {getattr(self, name)!r}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)

@@ -17,14 +17,20 @@ rather than an object. Both are read-only sequences whose items, a
 compares equal to a list of the same items. Every function that takes
 records or samples also accepts a plain list of them.
 
-``parse_ping_log`` takes a fast path for the common well-formed line: ASCII
-only, a direction written exactly ``request`` or ``reply``, decimal digits
-for seq, and a time with exactly six fractional digits. Every other line
-goes through ``parse_ping_record``, which decides it exactly as for a single
-line and is the only source of malformed-line messages. The fast path
-accepts nothing that parser would reject or read differently; the ASCII
-test matters because ``str.isdigit`` accepts digits such as "²" that
-``int`` rejects.
+``parse_ping_log`` reads the lines in blocks of ``STRIDE_LINES``. It joins a
+block's lines around a sentinel token that none of them holds and splits
+the result once; when every ninth token is a sentinel, every line has
+exactly 8 tokens and each column is a stride of the token list. A block is
+read by column only when it is ASCII, every seq is decimal digits, every
+stamp has exactly six fractional digits, and every direction is written
+exactly ``request`` or ``reply``. A block that fails is halved until its
+bad lines stand alone, and a line on its own goes through
+``parse_ping_record``, which decides it exactly as for a single line and is
+the only source of malformed-line messages. The column read accepts
+nothing that parser would reject or read differently; the ASCII test
+matters because ``str.isdigit`` accepts digits such as "²" that ``int``
+rejects. Blocks keep the tokens held at once to a block's worth, where a
+whole-text ``split`` would hold some seven times the text.
 
 Each request pairs with the earliest unconsumed reply after it whose
 (src, dst) is the reverse of its own; the exports carry no ICMP
@@ -40,12 +46,20 @@ from __future__ import annotations
 import math
 import statistics
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import EmptyDataError
 
 US_PER_S = 10**6
+
+# parse_ping_log reads a trace in blocks of this many lines, so that its
+# tokens stay a block's worth and not the whole text's.
+STRIDE_LINES = 64
+_SENTINEL = "\x00"
+_DOT_AT = itemgetter(-7)
 
 REQUEST = "request"
 REPLY = "reply"
@@ -235,40 +249,74 @@ def parse_ping_log(text: str, warnings: list[str] | None = None) -> PingLog:
     path: list[int] = []
     is_request: list[bool] = []
     path_ids: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        kind = tokens[-1]
-        # The fast path: on an ASCII line, "digits.dddddd" minus its dot is
-        # exactly the microsecond count parse_timestamp_us would give.
-        if (
-            len(tokens) >= 5
-            and (kind == REQUEST or kind == REPLY)
-            and line.isascii()
-            and tokens[0].isdigit()
-            and len(stamp := tokens[1]) > 7
-            and stamp[-7] == "."
-            and (digits := stamp[:-7] + stamp[-6:]).isdigit()
-        ):
-            seq.append(int(tokens[0]))
-            time_us.append(int(digits))
-            key = (tokens[2], tokens[3])
-            request = kind == REQUEST
-        else:
+    lines = text.splitlines()
+    # Blocks still to read, as (start, end) line indices, the next on top.
+    # A block that fails the stride check is halved until its bad lines
+    # stand alone, and a line on its own goes through parse_ping_record.
+    spans = [(start, start + STRIDE_LINES) for start in reversed(range(0, len(lines), STRIDE_LINES))]
+    while spans:
+        start, end = spans.pop()
+        block = lines[start:end]
+        columns = _stride_columns(block)
+        if columns is not None:
+            seqs, dotless_stamps, srcs, dsts, kinds = columns
+            seq += map(int, seqs)
+            time_us += map(int, dotless_stamps)
+            ids = list(map(path_ids.get, zip(srcs, dsts)))
+            if None in ids:
+                ids = [path_ids.setdefault(key, len(path_ids)) for key in zip(srcs, dsts)]
+            path += ids
+            is_request += map(REQUEST.__eq__, kinds)
+        elif len(block) > 1:
+            middle = start + len(block) // 2
+            spans += ((middle, end), (start, middle))
+        elif block[0].strip():
             try:
-                record = parse_ping_record(line)
+                record = parse_ping_record(block[0])
             except ValueError as exc:
                 if warnings is not None:
-                    warnings.append(f"line {lineno}: {exc}")
+                    warnings.append(f"line {start + 1}: {exc}")
                 continue
             seq.append(record.seq)
             time_us.append(record.time_us)
-            key = (record.src, record.dst)
-            request = record.direction == REQUEST
-        path.append(path_ids.setdefault(key, len(path_ids)))
-        is_request.append(request)
+            path.append(path_ids.setdefault((record.src, record.dst), len(path_ids)))
+            is_request.append(record.direction == REQUEST)
     return PingLog(seq, time_us, path, is_request, list(path_ids))
+
+
+def _stride_columns(block: list[str]) -> tuple[list[str], Iterator[str], list[str], list[str], list[str]] | None:
+    """A block's seq, dotless stamp, src, dst and direction columns, or None.
+
+    None unless the block is ASCII and every line has 8 tokens: a seq of
+    digits, a stamp of digits with exactly six after the dot, src, dst,
+    three tokens that parse_ping_record does not read either, and exactly
+    ``request`` or ``reply``. Joining the lines around a sentinel token that
+    no line holds makes one ``split`` give every line's tokens with a
+    sentinel between lines; with 9n - 1 tokens, the sentinels sit at every
+    ninth place exactly when each of the n lines has 8 tokens.
+    """
+    joined = f" {_SENTINEL} ".join(block)
+    n = len(block)
+    if not joined.isascii() or joined.count(_SENTINEL) != n - 1:
+        return None
+    tokens = joined.split()
+    if len(tokens) != 9 * n - 1 or tokens[8::9].count(_SENTINEL) != n - 1:
+        return None
+    seqs = tokens[0::9]
+    kinds = tokens[7::9]
+    if not "".join(seqs).isdigit() or kinds.count(REQUEST) + kinds.count(REPLY) != n:
+        return None
+    # "digits.dddddd" minus its dot is the microsecond count parse_timestamp_us gives.
+    stamps = tokens[1::9]
+    digits = "".join(stamps)
+    if (
+        min(map(len, stamps)) < 8
+        or set(map(_DOT_AT, stamps)) != {"."}
+        or digits.count(".") != n
+        or not digits.replace(".", "").isdigit()
+    ):
+        return None
+    return seqs, map(str.replace, stamps, repeat("."), repeat("")), tokens[2::9], tokens[3::9], kinds
 
 
 def pair_rtts(records: Iterable[PingRecord]) -> RttTable:
@@ -373,20 +421,32 @@ def rtt_csv(samples: Iterable[RttSample]) -> str:
             table.request_seq, table.reply_seq, table.rtt_us, table.valid, table.anomaly
         )
     ]
-    return "\n".join(lines) + "\n"
+    # A trailing empty item ends the text with a newline without copying it.
+    lines.append("")
+    return "\n".join(lines)
 
 
 def propagation_csv(samples: Iterable[RttSample], kernel_delay: float) -> str:
     """Render subtract_baseline as CSV: request_seq, prop_s, flagged_negative.
 
-    One row per valid sample; a negative propagation time is flagged.
+    One row per valid sample; a negative propagation time is flagged. A
+    row's text after request_seq depends only on the sample's rtt_us, so it
+    is formatted once per distinct rtt_us: a clean capture repeats a few
+    hundred values across thousands of rows.
     """
+    check_kernel_delay(kernel_delay)
     table = RttTable.of(samples)
-    propagation = subtract_baseline(table, kernel_delay)
-    request_seq = [seq for seq, valid in zip(table.request_seq, table.valid) if valid]
+    tails: dict[int, str] = {}
     lines = ["request_seq,prop_s,flagged_negative"]
-    lines += [f"{seq},{prop:.9e},{str(prop < 0).lower()}" for seq, prop in zip(request_seq, propagation)]
-    return "\n".join(lines) + "\n"
+    for seq, rtt, valid in zip(table.request_seq, table.rtt_us, table.valid):
+        if valid:
+            tail = tails.get(rtt)
+            if tail is None:
+                prop = rtt / US_PER_S - kernel_delay
+                tail = tails[rtt] = f"{prop:.9e},{str(prop < 0).lower()}"
+            lines.append(f"{seq},{tail}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def stats_summary(stats: dict[str, float]) -> str:
@@ -394,7 +454,8 @@ def stats_summary(stats: dict[str, float]) -> str:
     lines = [f"count {stats['count']}"]
     for key in ("min", "median", "mean", "max"):
         lines.append(f"{key}_ms {stats[key] * 1e3:.3f}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def discrepancy_report(samples: Iterable[RttSample], warnings: list[str] | None = None) -> str:
@@ -417,4 +478,5 @@ def discrepancy_report(samples: Iterable[RttSample], warnings: list[str] | None 
         lines.append(f"malformed-line\t{message}")
     if not lines:
         lines.append("none")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

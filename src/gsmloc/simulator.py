@@ -366,9 +366,13 @@ def format_trace(trace: Trace) -> str:
     Times carry 9 decimal digits; lines appear in event (time) order. The
     output is a pure function of the trace, so identical configs produce
     byte-identical files. Each line is read from the config's exchange
-    table, which renders every line when it is built.
+    table, which renders every line when it is built. A trace with no
+    arrivals renders as a single newline.
     """
-    return "\n".join(map(trace.exchange.lines.__getitem__, trace.arrived)) + "\n"
+    if not trace.arrived:
+        return "\n"
+    # The trailing empty item ends the text with a newline without copying it.
+    return "\n".join([*map(trace.exchange.lines.__getitem__, trace.arrived), ""])
 
 
 def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3) -> str:
@@ -390,7 +394,7 @@ def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3)
         rows = map(measurements.exchange.rows.__getitem__, measurements.slots)
     else:
         rows = (_csv_row(m, distance(true_position, m.tower.position)) for m in measurements)
-    return "\n".join(["tower_id,turnaround_s,distance_m,actual_m,pct_error", *rows]) + "\n"
+    return "\n".join(["tower_id,turnaround_s,distance_m,actual_m,pct_error", *rows, ""])
 
 
 def _from_table(measurements: list[RangeMeasurement], true_position: Point3) -> bool:

@@ -31,6 +31,13 @@ def test_point_rejects_non_finite():
         Point3(0, math.inf, 0)
 
 
+@pytest.mark.parametrize("name", ["x", "y", "z"])
+def test_point_names_the_non_finite_field(name):
+    coords = {"x": 1.0, "y": 2.0, "z": 3.0, name: math.nan}
+    with pytest.raises(ValueError, match=rf"^Point3\.{name} must be finite, got nan$"):
+        Point3(**coords)
+
+
 def test_tower_rejects_negative_id():
     with pytest.raises(ValueError):
         TowerSite(-1, Point3(0, 0, 0))

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,14 @@ from gsmloc.ingest import (
     NEGATIVE,
     REPLY,
     REQUEST,
+    STRIDE_LINES,
     PingLog,
     PingRecord,
     RttSample,
     RttTable,
     discrepancy_report,
     format_ping_record,
+    format_timestamp,
     pair_rtts,
     parse_ping_log,
     parse_ping_record,
@@ -100,6 +103,40 @@ def trace_texts(draw):
     return "".join(line + sep for line, sep in zip(lines, separators))
 
 
+@st.composite
+def shifted_line(draw):
+    """A line one token off the 8-token shape: a well-formed line with one
+    more token at its end, or one with no seq (7 tokens, a stamp first)."""
+    us = draw(st.integers(0, 10**8))
+    direction = draw(st.sampled_from([REQUEST, REPLY]))
+    tokens = [format_timestamp(us), "10.0.0.1", "10.0.0.2", "ICMP", "Echo", "(ping)", direction]
+    if draw(st.booleans()):
+        tokens = [str(us % 1000), *tokens, str(us % 1000 + 1)]
+    return draw(st.sampled_from(FIELD_SEPARATORS)).join(tokens)
+
+
+@st.composite
+def long_trace_texts(draw):
+    """Texts of more than two parse_ping_log blocks: well-formed lines, with a
+    few runs of odd ones from trace_line() or shifted_line() anywhere, at the
+    first and last line of a block too."""
+    n_lines = draw(st.integers(2 * STRIDE_LINES + 1, 4 * STRIDE_LINES + 3))
+    start_us = draw(st.integers(0, 10**8))
+    hosts = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+    lines = [
+        f"{k}\t{format_timestamp(start_us + 137 * k)}\t{hosts[k % 3]}\t{hosts[k // 3 % 3]}"
+        f"\tICMP\tEcho (ping) {(REQUEST, REPLY)[k % 2]}"
+        for k in range(n_lines)
+    ]
+    edges = [i for start in range(0, n_lines, STRIDE_LINES) for i in (start, min(start + STRIDE_LINES, n_lines) - 1)]
+    at = st.one_of(st.sampled_from(edges), st.integers(0, n_lines - 1))
+    odd_runs = st.lists(st.one_of(trace_line(), shifted_line()), min_size=1, max_size=3)
+    for index, run in draw(st.lists(st.tuples(at, odd_runs), max_size=6)):
+        lines[index : index + len(run)] = run
+    separator = draw(st.sampled_from(LINE_SEPARATORS))
+    return separator.join(lines) + separator
+
+
 def samples_from_us(values_us):
     return [
         RttSample(request_seq=i, reply_seq=i + 1, rtt_us=v, valid=True)
@@ -154,6 +191,41 @@ class TestParsing:
         assert records == expected
         assert warnings == expected_warnings
         assert parse_ping_log(text) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(long_trace_texts())
+    def test_long_texts_match_record_per_line_oracle(self, text):
+        warnings, expected_warnings = [], []
+        records = parse_ping_log(text, warnings)
+        assert records == oracle_parse_ping_log(text, expected_warnings)
+        assert warnings == expected_warnings
+
+    def test_shifted_tokens_do_not_align(self):
+        # 9 tokens then 7: 16 tokens with the literals in place, yet no line is a record.
+        text = "1 0.100000 a b ICMP Echo (ping) request 5\n0.200000 a b ICMP Echo (ping) reply\n"
+        warnings = []
+        assert parse_ping_log(text, warnings) == []
+        assert [w.partition(":")[0] for w in warnings] == ["line 1", "line 2"]
+        expected_warnings = []
+        oracle_parse_ping_log(text, expected_warnings)
+        assert warnings == expected_warnings
+
+    def test_peak_memory_stays_near_the_text(self):
+        # A clean 40 000-line capture; a whole-text split() would hold some 9x its size.
+        towers = [f"169.254.65.{k}" for k in range(1, 5)]
+        text = "".join(
+            f"{k + 1}\t{format_timestamp(1000 + 25_000 * k)}\t169.254.118.52\t{towers[k // 2 % 4]}"
+            f"\tICMP\tEcho (ping) {(REQUEST, REPLY)[k % 2]}\n"
+            for k in range(40_000)
+        )
+        tracemalloc.start()
+        try:
+            records = parse_ping_log(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 40_000
+        assert peak < 4 * len(text)
 
     def test_timestamp_exact_microseconds(self):
         assert parse_timestamp_us("21.000091") == 21000091

@@ -244,6 +244,13 @@ class TestRenderers:
             assert kind in ("request_arrives", "ack_arrives")
             assert tower_id in ("0", "1", "2")
 
+    def test_trace_with_no_arrivals_is_one_newline(self):
+        # Total loss leaves nothing; run_scenario raises before it returns such a trace.
+        config = basic_config(packet_loss=1.0)
+        trace = simulator._picked_trace(config, config.exchange, 0)
+        assert trace.events == ()
+        assert format_trace(trace) == oracle.format_trace(trace) == "\n"
+
     def test_measurement_csv_columns(self):
         trace, measurements, _ = run_scenario(basic_config())
         csv_text = measurement_csv(measurements, Point3(3, 4, 0))
