@@ -211,7 +211,7 @@ class TestParsing:
         assert warnings == expected_warnings
 
     def test_peak_memory_stays_near_the_text(self):
-        # A clean 40 000-line capture; a whole-text split() would hold some 9x its size.
+        # A clean 40 000-line capture; a whole-text split() would hold some 7x its size.
         towers = [f"169.254.65.{k}" for k in range(1, 5)]
         text = "".join(
             f"{k + 1}\t{format_timestamp(1000 + 25_000 * k)}\t169.254.118.52\t{towers[k // 2 % 4]}"
