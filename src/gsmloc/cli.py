@@ -305,7 +305,7 @@ def cmd_analyze_log(args) -> Run:
     warnings: list[str] = []
     records = parse_ping_log(text, warnings)
     samples = pair_rtts(records)
-    if not any(s.valid for s in samples):
+    if True not in samples.valid:
         raise EmptyDataError("no valid request/reply pairs in log")
 
     files = {

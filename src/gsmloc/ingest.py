@@ -17,20 +17,27 @@ rather than an object. Both are read-only sequences whose items, a
 compares equal to a list of the same items. Every function that takes
 records or samples also accepts a plain list of them.
 
-``parse_ping_log`` reads the lines in blocks of ``STRIDE_LINES``. It joins a
-block's lines around a sentinel token that none of them holds and splits
-the result once; when every ninth token is a sentinel, every line has
-exactly 8 tokens and each column is a stride of the token list. A block is
-read by column only when it is ASCII, every seq is decimal digits, every
-stamp has exactly six fractional digits, and every direction is written
-exactly ``request`` or ``reply``. A block that fails is halved until its
-bad lines stand alone, and a line on its own goes through
-``parse_ping_record``, which decides it exactly as for a single line and is
-the only source of malformed-line messages. The column read accepts
-nothing that parser would reject or read differently; the ASCII test
-matters because ``str.isdigit`` accepts digits such as "²" that ``int``
-rejects. Blocks keep the tokens held at once to a block's worth, where a
-whole-text ``split`` would hold some seven times the text.
+``parse_ping_log`` reads the text in chunks of about ``CHUNK_CHARS``
+characters, each ending at a "\\n", and reads each chunk's bytes as numpy
+columns. Separator transitions give the token starts and ends, and the
+newlines the lines; 8n tokens, each line's first after its start and each
+eighth before its end, show that every line has 8 tokens. Seq and stamp
+are read from right-aligned windows of up to 18 and 19 bytes, checked digit
+by digit (a stamp needs exactly six digits after its one dot) and summed
+against a place-value table. Each line's tail, src to direction, is
+deduplicated by a hash of its bytes that is checked byte for byte, and
+each distinct tail is split once for its (src, dst) and its direction,
+which must be exactly ``request`` or ``reply``. A line the columns cannot
+take goes alone through ``parse_ping_record``, which decides it exactly as
+for a single line and is the only source of malformed-line messages: a
+token count other than 0 or 8, a field that fails or runs past its
+window, and any non-ASCII or control byte but tab and the CR of "\\r\\n"
+("²" is a digit to ``str.isdigit`` but not to ``int``, and "\\xa0" splits
+a token). A chunk holding any other line break goes line by line through
+``splitlines``, whose numbering the messages use. Path ids follow the
+first appearance of each (src, dst) over both kinds of line, and a chunk's
+arrays keep the memory held at once to a chunk's worth, where a whole-text
+``split`` would hold some seven times the text.
 
 Each request pairs with the earliest unconsumed reply after it whose
 (src, dst) is the reverse of its own; the exports carry no ICMP
@@ -48,21 +55,55 @@ import statistics
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress
 from operator import itemgetter
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyDataError
 
 US_PER_S = 10**6
 
-# parse_ping_log reads a trace in blocks of this many lines, so that its
-# tokens stay a block's worth and not the whole text's.
-STRIDE_LINES = 64
-_SENTINEL = "\x00"
-_DOT_AT = itemgetter(-7)
+# parse_ping_log reads a trace in chunks of about this many characters, so
+# that its byte columns stay a chunk's worth and not the whole text's.
+CHUNK_CHARS = 1 << 18
+
+
+def _place_values(width: int, dot: int | None = None) -> np.ndarray:
+    """The place value of each byte of a number right-aligned in a window of
+    ``width`` bytes, 0 at ``dot``; its last w entries serve a w-byte window."""
+    digits = [j for j in range(width) if j != dot]
+    places = np.zeros(width, np.int64)
+    places[digits] = [10**k for k in reversed(range(len(digits)))]
+    return places
+
+
+# The column read takes a seq of up to 18 digits and a stamp of up to 12
+# whole digits, so that each value fits an int64, and a tail (src to
+# direction) of up to 64 bytes; a longer one leaves its line to
+# parse_ping_record. A stamp has its dot 7 bytes from its end.
+_SEQ_PLACES = _place_values(18)
+_STAMP_PLACES = _place_values(19, dot=19 - 7)
+_STAMP_MIN_WIDTH = 8
+_TAIL_WIDTH = 64
+# Odd multipliers of a tail's 64-bit words; tails of equal hash are compared byte for byte.
+_TAIL_HASH = np.array(
+    [
+        0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93,
+        0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53, 0x94D049BB133111EB, 0xBF58476D1CE4E5B9,
+    ],
+    np.uint64,
+)
+_TAB, _LF, _CR, _SPACE, _ZERO, _DOT, _QUESTION_MARK, _DEL = 0x09, 0x0A, 0x0D, 0x20, 0x30, 0x2E, 0x3F, 0x7F
+_PADDING = np.full(_TAIL_WIDTH, _SPACE, np.uint8)
+_COLUMNS = np.arange(_TAIL_WIDTH, dtype=np.int8)
+# What splitlines breaks a line at, but "\n" and "\r".
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 REQUEST = "request"
 REPLY = "reply"
+_CSV_BOOL = ("false", "true")
 
 NEGATIVE = "negative"
 MISSING_REPLY = "missing_reply"
@@ -249,74 +290,199 @@ def parse_ping_log(text: str, warnings: list[str] | None = None) -> PingLog:
     path: list[int] = []
     is_request: list[bool] = []
     path_ids: dict[tuple[str, str], int] = {}
-    lines = text.splitlines()
-    # Blocks still to read, as (start, end) line indices, the next on top.
-    # A block that fails the stride check is halved until its bad lines
-    # stand alone, and a line on its own goes through parse_ping_record.
-    spans = [(start, start + STRIDE_LINES) for start in reversed(range(0, len(lines), STRIDE_LINES))]
-    while spans:
-        start, end = spans.pop()
-        block = lines[start:end]
-        columns = _stride_columns(block)
-        if columns is not None:
-            seqs, dotless_stamps, srcs, dsts, kinds = columns
-            seq += map(int, seqs)
-            time_us += map(int, dotless_stamps)
-            ids = list(map(path_ids.get, zip(srcs, dsts)))
-            if None in ids:
-                ids = [path_ids.setdefault(key, len(path_ids)) for key in zip(srcs, dsts)]
-            path += ids
-            is_request += map(REQUEST.__eq__, kinds)
-        elif len(block) > 1:
-            middle = start + len(block) // 2
-            spans += ((middle, end), (start, middle))
-        elif block[0].strip():
+    lines_before = 0
+    for chunk in _chunks(text):
+        columns = _chunk_columns(chunk)
+        records = []
+        for index, line in columns.odd_lines:
+            if not line.strip():
+                continue
             try:
-                record = parse_ping_record(block[0])
+                records.append((index, parse_ping_record(line)))
             except ValueError as exc:
                 if warnings is not None:
-                    warnings.append(f"line {start + 1}: {exc}")
-                continue
-            seq.append(record.seq)
-            time_us.append(record.time_us)
-            path.append(path_ids.setdefault((record.src, record.dst), len(path_ids)))
-            is_request.append(record.direction == REQUEST)
+                    warnings.append(f"line {lines_before + index + 1}: {exc}")
+        lines_before += columns.n_lines
+        # New paths take their ids in the order of the lines that first show them.
+        firsts = columns.tail_firsts + [(index, (r.src, r.dst)) for index, r in records]
+        for _, key in sorted(firsts, key=itemgetter(0)):
+            path_ids.setdefault(key, len(path_ids))
+        tail_path = np.array([path_ids[key] for _, key in columns.tail_firsts], np.int64)
+        column_values = (
+            columns.seq.tolist(),
+            columns.time_us.tolist(),
+            tail_path[columns.tail].tolist(),
+            columns.tail_is_request[columns.tail].tolist(),
+        )
+        # Each record of an odd line goes in before the first column row below it.
+        cuts = np.searchsorted(columns.lines, [index for index, _ in records]).tolist()
+        record_values = list(zip(*((r.seq, r.time_us, path_ids[r.src, r.dst], r.direction == REQUEST) for _, r in records)))
+        for out, values, inserts in zip((seq, time_us, path, is_request), column_values, record_values or [()] * 4):
+            done = 0
+            for cut, value in zip(cuts, inserts):
+                out += values[done:cut]
+                out.append(value)
+                done = cut
+            out += values[done:]
     return PingLog(seq, time_us, path, is_request, list(path_ids))
 
 
-def _stride_columns(block: list[str]) -> tuple[list[str], Iterator[str], list[str], list[str], list[str]] | None:
-    """A block's seq, dotless stamp, src, dst and direction columns, or None.
+def _chunks(text: str) -> Iterator[str]:
+    """The text in pieces of about CHUNK_CHARS characters, each ending at a
+    "\\n"; a last piece without one gets one, which splitlines ignores."""
+    start = 0
+    while start < len(text):
+        end = text.rfind("\n", start, start + CHUNK_CHARS) + 1 or text.find("\n", start + CHUNK_CHARS) + 1 or len(text)
+        chunk = text[start:end]
+        yield chunk if chunk.endswith("\n") else chunk + "\n"
+        start = end
 
-    None unless the block is ASCII and every line has 8 tokens: a seq of
-    digits, a stamp of digits with exactly six after the dot, src, dst,
-    three tokens that parse_ping_record does not read either, and exactly
-    ``request`` or ``reply``. Joining the lines around a sentinel token that
-    no line holds makes one ``split`` give every line's tokens with a
-    sentinel between lines; with 9n - 1 tokens, the sentinels sit at every
-    ninth place exactly when each of the n lines has 8 tokens.
+
+@dataclass
+class _ChunkColumns:
+    """What the column read took from a chunk, by line index within it."""
+
+    n_lines: int
+    lines: np.ndarray  # the lines read as columns, ascending
+    seq: np.ndarray
+    time_us: np.ndarray
+    tail: np.ndarray  # each line's index into tail_firsts
+    tail_firsts: list[tuple[int, tuple[str, str]]]  # each distinct tail's first line and (src, dst)
+    tail_is_request: np.ndarray
+    odd_lines: list[tuple[int, str]]  # every other line that is not blank, for parse_ping_record
+
+
+def _chunk_columns(chunk: str) -> _ChunkColumns:
+    """What the column read takes from a chunk that ends with "\\n".
+
+    A line is read as columns when it is ASCII with no control byte but tab
+    and the CR of its "\\r\\n", has 8 tokens, a seq of digits, a stamp of
+    digits with exactly six after its one dot, each within its window, a tail
+    (src to direction) within its window, and a direction of exactly
+    ``request`` or ``reply``. Every other line that is not blank is left to
+    parse_ping_record. A chunk that holds a line break other than "\\n" and
+    "\\r\\n" is left to it line by line, numbered as splitlines numbers them.
     """
-    joined = f" {_SENTINEL} ".join(block)
-    n = len(block)
-    if not joined.isascii() or joined.count(_SENTINEL) != n - 1:
-        return None
-    tokens = joined.split()
-    if len(tokens) != 9 * n - 1 or tokens[8::9].count(_SENTINEL) != n - 1:
-        return None
-    seqs = tokens[0::9]
-    kinds = tokens[7::9]
-    if not "".join(seqs).isdigit() or kinds.count(REQUEST) + kinds.count(REPLY) != n:
-        return None
-    # "digits.dddddd" minus its dot is the microsecond count parse_timestamp_us gives.
-    stamps = tokens[1::9]
-    digits = "".join(stamps)
-    if (
-        min(map(len, stamps)) < 8
-        or set(map(_DOT_AT, stamps)) != {"."}
-        or digits.count(".") != n
-        or not digits.replace(".", "").isdigit()
-    ):
-        return None
-    return seqs, map(str.replace, stamps, repeat("."), repeat("")), tokens[2::9], tokens[3::9], kinds
+    if "\r" in chunk and chunk.count("\r") != chunk.count("\r\n"):
+        return _splitlines_chunk(chunk)
+    # Positions count from the start of the padding, so every window fits;
+    # "replace" writes a "?" for each non-ASCII character, which then reads as DEL.
+    padded = np.concatenate((_PADDING, np.frombuffer(chunk.encode("ascii", "replace"), np.uint8)))
+    if not chunk.isascii():
+        marks = np.flatnonzero(padded == _QUESTION_MARK).tolist()
+        padded[[at for at in marks if chunk[at - len(_PADDING)] != "?"]] = _DEL
+    # Control bytes but tab, LF and CR, DEL, and so every non-ASCII character.
+    odd_byte = (padded < _SPACE) ^ (padded == _TAB) ^ (padded == _LF) ^ (padded == _CR) | (padded >= _DEL)
+    odd_at = np.flatnonzero(odd_byte) if odd_byte.any() else np.zeros(0, np.intp)
+    if odd_at.size and any(map(chunk.__contains__, _OTHER_LINE_BREAKS)):
+        return _splitlines_chunk(chunk)
+    newlines = np.flatnonzero(padded == _LF)
+    n_lines = len(newlines)
+    line_before = np.concatenate(([len(_PADDING) - 1], newlines[:-1]))
+    in_token = padded > _SPACE
+    # The padding starts with a separator and the chunk ends with one, so token edges alternate.
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1]) + 1
+    starts = edges[0::2]
+    ends = edges[1::2]
+    # 8n tokens with each line's first after its start and each eighth before
+    # its end put exactly 8 on every line; otherwise count them line by line.
+    if len(starts) == 8 * n_lines and (starts[::8] > line_before).all() and (ends[7::8] <= newlines).all():
+        counts = np.full(n_lines, 8)
+        first_token = np.arange(0, len(starts), 8)
+    else:
+        tokens_before = np.searchsorted(starts, newlines)
+        counts = np.diff(tokens_before, prepend=0)
+        first_token = tokens_before - counts
+    has_odd_byte = np.zeros(n_lines, bool)
+    has_odd_byte[np.searchsorted(newlines, odd_at)] = True
+    lines = np.flatnonzero((counts == 8) & ~has_odd_byte)
+    token = first_token[lines]
+    seq, seq_ok = _read_digits(padded, starts[token], ends[token], _SEQ_PLACES)
+    time_us, stamp_ok = _read_digits(padded, starts[token + 1], ends[token + 1], _STAMP_PLACES, _STAMP_MIN_WIDTH)
+    tail_start = starts[token + 2]
+    tail_end = ends[token + 7]
+    keep = np.flatnonzero(seq_ok & stamp_ok & (tail_end - tail_start <= _TAIL_WIDTH))
+    lines, seq, time_us, tail_start, tail_end = lines[keep], seq[keep], time_us[keep], tail_start[keep], tail_end[keep]
+    first_row, tail = _distinct_tails(padded, tail_start, tail_end)
+    tails = [
+        chunk[start - len(_PADDING) : end - len(_PADDING)].split()
+        for start, end in zip(tail_start[first_row].tolist(), tail_end[first_row].tolist())
+    ]
+    known = np.array([tokens[-1] in (REQUEST, REPLY) for tokens in tails], bool)
+    tail_firsts = [(line, (tokens[0], tokens[1])) for line, tokens in zip(lines[first_row].tolist(), tails)]
+    tail_is_request = np.array([tokens[-1] == REQUEST for tokens in tails], bool)
+    if not known.all():
+        # Lines whose direction is not exactly request or reply go to parse_ping_record.
+        keep = np.flatnonzero(known[tail])
+        lines, seq, time_us, tail = lines[keep], seq[keep], time_us[keep], (np.cumsum(known) - 1)[tail[keep]]
+        tail_firsts = list(compress(tail_firsts, known))
+        tail_is_request = tail_is_request[known]
+    odd = np.ones(n_lines, bool)
+    odd[lines] = False
+    odd &= (counts != 0) | has_odd_byte
+    odd_lines = [
+        (index, chunk[start + 1 - len(_PADDING) : end - len(_PADDING)].removesuffix("\r"))
+        for index, start, end in zip(
+            np.flatnonzero(odd).tolist(), line_before[odd].tolist(), newlines[odd].tolist()
+        )
+    ]
+    return _ChunkColumns(n_lines, lines, seq, time_us, tail, tail_firsts, tail_is_request, odd_lines)
+
+
+def _splitlines_chunk(chunk: str) -> _ChunkColumns:
+    """A chunk with no column rows: every line is left to parse_ping_record."""
+    lines = chunk.splitlines()
+    no_rows = np.zeros(0, np.intp)
+    return _ChunkColumns(len(lines), no_rows, no_rows, no_rows, no_rows, [], no_rows.astype(bool), list(enumerate(lines)))
+
+
+def _window(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's ``width`` bytes up to its end, and which of them are its own."""
+    window = sliding_window_view(padded, width)[ends - width]
+    inside = _COLUMNS[:width] >= np.maximum(width - (ends - starts), 0).astype(np.int8)[:, None]
+    return window, inside
+
+
+def _read_digits(
+    padded: np.ndarray, starts: np.ndarray, ends: np.ndarray, places: np.ndarray, min_width: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each token read as a number, and which tokens are one.
+
+    A token is one when it is ``min_width`` to ``len(places)`` bytes wide
+    and, right-aligned against ``places``, has a digit at each place value
+    and a "." at each 0 (see _place_values); a stamp's value read so is its
+    microsecond count. The window is only as wide as the widest token.
+    """
+    widths = ends - starts
+    width = int(np.clip(widths.max(initial=0), min_width, len(places)))
+    places = places[-width:]
+    window, inside = _window(padded, starts, ends, width)
+    digits = window - np.uint8(_ZERO)  # a byte that is no digit reads above 9
+    ok = (widths >= min_width) & (widths <= width)
+    if 0 in places:
+        ok &= window[:, places == 0].ravel() == _DOT
+    not_digit = (digits > 9) & inside & (places > 0)
+    if not_digit.any():
+        ok &= ~not_digit.any(axis=1)
+    return (digits * inside) @ places, ok
+
+
+def _distinct_tails(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct tail, and each row's index among them.
+
+    Tails are compared by a hash of their bytes in a right-aligned window;
+    when two different tails share a hash, by their bytes.
+    """
+    width = -(-int((ends - starts).max(initial=0)) // 8) * 8
+    window, inside = _window(padded, starts, ends, width)
+    tails = window * inside
+    words = tails.view(np.uint64)
+    _, first_row, tail = np.unique(words @ _TAIL_HASH[: width // 8], return_index=True, return_inverse=True)
+    if not (words[first_row][tail] == words).all():
+        _, first_row, tail = np.unique(
+            tails.view(np.dtype((np.void, width))).ravel(), return_index=True, return_inverse=True
+        )
+    return first_row, tail
 
 
 def pair_rtts(records: Iterable[PingRecord]) -> RttTable:
@@ -416,7 +582,7 @@ def rtt_csv(samples: Iterable[RttSample]) -> str:
     lines = ["request_seq,reply_seq,rtt_us,valid,anomaly"]
     lines += [
         f"{request_seq},{'' if reply_seq is None else reply_seq},{'' if rtt_us is None else rtt_us},"
-        f"{str(valid).lower()},{anomaly or ''}"
+        f"{_CSV_BOOL[valid]},{anomaly or ''}"
         for request_seq, reply_seq, rtt_us, valid, anomaly in zip(
             table.request_seq, table.reply_seq, table.rtt_us, table.valid, table.anomaly
         )
@@ -443,7 +609,7 @@ def propagation_csv(samples: Iterable[RttSample], kernel_delay: float) -> str:
             tail = tails.get(rtt)
             if tail is None:
                 prop = rtt / US_PER_S - kernel_delay
-                tail = tails[rtt] = f"{prop:.9e},{str(prop < 0).lower()}"
+                tail = tails[rtt] = f"{prop:.9e},{_CSV_BOOL[prop < 0]}"
             lines.append(f"{seq},{tail}")
     lines.append("")
     return "\n".join(lines)

@@ -1,20 +1,23 @@
 import math
 import time
 import tracemalloc
+from pathlib import Path
+from warnings import catch_warnings, simplefilter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pairing_oracle import pair_rtts as oracle_pair_rtts
 from parsing_oracle import parse_ping_log as oracle_parse_ping_log
 
+from gsmloc import ingest
 from gsmloc.errors import EmptyDataError
 from gsmloc.ingest import (
     MISSING_REPLY,
     NEGATIVE,
     REPLY,
     REQUEST,
-    STRIDE_LINES,
     PingLog,
     PingRecord,
     RttSample,
@@ -32,6 +35,8 @@ from gsmloc.ingest import (
     stats_summary,
     subtract_baseline,
 )
+
+TEST_DATA = Path(__file__).resolve().parent / "data"
 
 # Published per-tower RTT tables, microseconds, in row order.
 TOWER1_TABLE_US = [783, 799, 690, 985, 567, 533, 671]
@@ -98,8 +103,12 @@ def trace_line(draw):
 
 @st.composite
 def trace_texts(draw):
+    """Up to 30 lines from trace_line(), ended by "\n" only, by "\n" or
+    "\r\n", or by any line break: parse_ping_log reads columns only from
+    the first two kinds of text."""
     lines = draw(st.lists(trace_line(), max_size=30))
-    separators = draw(st.lists(st.sampled_from(LINE_SEPARATORS), min_size=len(lines), max_size=len(lines)))
+    breaks = draw(st.sampled_from([["\n"], ["\n", "\r\n"], LINE_SEPARATORS]))
+    separators = draw(st.lists(st.sampled_from(breaks), min_size=len(lines), max_size=len(lines)))
     return "".join(line + sep for line, sep in zip(lines, separators))
 
 
@@ -115,12 +124,49 @@ def shifted_line(draw):
     return draw(st.sampled_from(FIELD_SEPARATORS)).join(tokens)
 
 
+# Characters that leave a line to parse_ping_record when a token holds one:
+# DEL, control bytes ("\x1f" also separates tokens, "\x0c" also breaks
+# lines) and non-ASCII whitespace, which str.split separates at.
+ODD_CHARACTERS = ["\x7f", "\x00", "\x01", "\x08", "\x0e", "\x1b", "\x1f", "\x0c", "\xa0", "\u3000"]
+
+
+def digit_strings(low, high):
+    """Strings of low to high digits, leading zeros kept, often all nines."""
+    return st.sampled_from(range(low, high + 1)).flatmap(
+        lambda n: st.one_of(st.just("9" * n), st.integers(0, 10**n - 1).map(lambda value: str(value).zfill(n)))
+    )
+
+
+@st.composite
+def wide_line(draw):
+    """A well-formed line whose seq, stamp or src may run past the column
+    read's windows (18 seq digits, 12 whole stamp digits, a 64-byte tail),
+    and may hold a DEL, a control byte or non-ASCII whitespace in a token."""
+    tokens = [
+        draw(st.one_of(st.integers(0, 10**6).map(str), digit_strings(17, 25))),
+        draw(st.one_of(st.integers(0, 10**8).map(format_timestamp), st.tuples(digit_strings(11, 16), digit_strings(6, 6)).map(".".join))),
+        draw(st.one_of(st.just("10.0.0.1"), st.text("0123456789abcdef.:-", min_size=20, max_size=140))),
+        "10.0.0.2",
+        "ICMP",
+        "Echo",
+        "(ping)",
+        draw(st.sampled_from([REQUEST, REPLY])),
+    ]
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, len(tokens) - 1))
+        at = draw(st.integers(0, len(tokens[k])))
+        tokens[k] = tokens[k][:at] + draw(st.sampled_from(ODD_CHARACTERS)) + tokens[k][at:]
+    return draw(st.sampled_from(["\t", "\t", *FIELD_SEPARATORS])).join(tokens)
+
+
 @st.composite
 def long_trace_texts(draw):
-    """Texts of more than two parse_ping_log blocks: well-formed lines, with a
-    few runs of odd ones from trace_line() or shifted_line() anywhere, at the
-    first and last line of a block too."""
-    n_lines = draw(st.integers(2 * STRIDE_LINES + 1, 4 * STRIDE_LINES + 3))
+    """A chunk size of a few hundred characters and a text of several chunks:
+    well-formed lines, with a few runs of odd ones from trace_line(),
+    shifted_line() or wide_line() anywhere. The first chunk ends inside the
+    first run. Lines end in "\n", mostly, or "\r\n" or another line break,
+    and the last one may have none."""
+    n_lines = draw(st.integers(20, 60))
     start_us = draw(st.integers(0, 10**8))
     hosts = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
     lines = [
@@ -128,13 +174,27 @@ def long_trace_texts(draw):
         f"\tICMP\tEcho (ping) {(REQUEST, REPLY)[k % 2]}"
         for k in range(n_lines)
     ]
-    edges = [i for start in range(0, n_lines, STRIDE_LINES) for i in (start, min(start + STRIDE_LINES, n_lines) - 1)]
-    at = st.one_of(st.sampled_from(edges), st.integers(0, n_lines - 1))
-    odd_runs = st.lists(st.one_of(trace_line(), shifted_line()), min_size=1, max_size=3)
-    for index, run in draw(st.lists(st.tuples(at, odd_runs), max_size=6)):
+    odd_line = st.one_of(trace_line(), shifted_line(), wide_line(), wide_line())
+    first_at = draw(st.integers(3, 6))
+    runs = [(first_at, draw(st.lists(odd_line, min_size=2, max_size=4)))]
+    runs += draw(st.lists(st.tuples(st.integers(0, n_lines - 1), st.lists(odd_line, min_size=1, max_size=4)), max_size=8))
+    for index, run in reversed(runs):
         lines[index : index + len(run)] = run
-    separator = draw(st.sampled_from(LINE_SEPARATORS))
-    return separator.join(lines) + separator
+    separator = draw(st.sampled_from(["\n"] * 4 + ["\r\n"] * 2 + LINE_SEPARATORS))
+    text = separator.join(lines) + draw(st.sampled_from([separator, ""]))
+    # Up to and with the separator after the first run's first line.
+    chunk_chars = sum(map(len, lines[: first_at + 1])) + (first_at + 1) * len(separator)
+    return chunk_chars, text
+
+
+def parse_strictly(text):
+    """parse_ping_log's log and warnings, with every Python warning raised:
+    numpy warns of a wrapped uint8 or an overflowed int64 only that way."""
+    warnings = []
+    with catch_warnings():
+        simplefilter("error")
+        log = parse_ping_log(text, warnings)
+    return log, warnings
 
 
 def samples_from_us(values_us):
@@ -184,20 +244,81 @@ class TestParsing:
     @settings(max_examples=500, deadline=None)
     @given(trace_texts())
     def test_matches_record_per_line_oracle(self, text):
-        warnings, expected_warnings = [], []
+        expected_warnings = []
         expected = oracle_parse_ping_log(text, expected_warnings)
-        records = parse_ping_log(text, warnings)
+        records, warnings = parse_strictly(text)
         assert list(records) == expected
         assert records == expected
+        assert records.paths == PingLog.of(expected).paths
         assert warnings == expected_warnings
         assert parse_ping_log(text) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(long_trace_texts())
-    def test_long_texts_match_record_per_line_oracle(self, text):
-        warnings, expected_warnings = [], []
-        records = parse_ping_log(text, warnings)
-        assert records == oracle_parse_ping_log(text, expected_warnings)
+    def test_long_texts_match_record_per_line_oracle(self, chunked_text):
+        chunk_chars, text = chunked_text
+        expected_warnings = []
+        expected = oracle_parse_ping_log(text, expected_warnings)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "CHUNK_CHARS", chunk_chars)
+            records, warnings = parse_strictly(text)
+        assert records == expected
+        assert records.paths == PingLog.of(expected).paths
+        assert warnings == expected_warnings
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # The widest seq, stamp and tail each window takes, and one byte more.
+            "999999999999999999\t999999999999.999999\t10.0.0.1\t10.0.0.2\tICMP\tEcho (ping) request",
+            "9999999999999999999\t1.000000\t10.0.0.1\t10.0.0.2\tICMP\tEcho (ping) request",
+            "1\t9999999999999.999999\t10.0.0.1\t10.0.0.2\tICMP\tEcho (ping) request",
+            "1\t1.000000\t" + "a" * 30 + "\t10.0.0.2\tICMP\tEcho (ping) request",
+            "1\t1.000000\t" + "a" * 31 + "\t10.0.0.2\tICMP\tEcho (ping) request",
+            # A stamp of 7 bytes with its dot 7 from the end, which has no whole digit.
+            "1\t.000100\t10.0.0.1\t10.0.0.2\tICMP\tEcho (ping) request",
+            # DEL and non-ASCII letters are token bytes to str.split, non-ASCII whitespace is not.
+            "1\t1.000000\t10.0.\x7f0.1\t10.0.0.2\tICMP\tEcho (ping) request",
+            "1\t1.000000\th\xf4st\t10.0.0.2\tICMP\tEcho (ping) request",
+            "1\t1.000000\t10.0.0.1\xa010.0.0.3\t10.0.0.2\tICMP\tEcho (ping) request",
+            "1\t1.000000\t10.0.0.1\t10.0.0.2\tICMP\tEcho\u3000(ping) request",
+        ],
+    )
+    def test_window_edges_and_odd_bytes_match_the_oracle(self, line):
+        text = f"1\t0.500000\t10.0.0.5\t10.0.0.6\tICMP\tEcho (ping) reply\n{line}\n"
+        expected_warnings = []
+        expected = oracle_parse_ping_log(text, expected_warnings)
+        records, warnings = parse_strictly(text)
+        assert records == expected
+        assert warnings == expected_warnings
+
+    def test_path_ids_follow_first_appearance_across_both_paths(self):
+        # parse_ping_record alone takes line 2 ("REQUEST"), whose path is new
+        # before the column lines 3 and 4 of the same chunk show theirs.
+        text = (
+            "1\t0.100000\t10.0.0.1\t10.0.0.2\tICMP\tEcho (ping) request\n"
+            "2\t0.200000\t10.0.0.9\t10.0.0.1\tICMP\tEcho (ping) REQUEST\n"
+            "3\t0.300000\t10.0.0.2\t10.0.0.1\tICMP\tEcho (ping) reply\n"
+            "4\t0.400000\t10.0.0.1\t10.0.0.9\tICMP\tEcho (ping) reply\n"
+            "5\t0.500000\t10.0.0.9\t10.0.0.1\tICMP\tEcho (ping) request\n"
+        )
+        log = parse_ping_log(text)
+        expected = oracle_parse_ping_log(text)
+        assert log == expected
+        assert log.paths == [("10.0.0.1", "10.0.0.2"), ("10.0.0.9", "10.0.0.1"), ("10.0.0.2", "10.0.0.1"), ("10.0.0.1", "10.0.0.9")]
+        assert log.paths == PingLog.of(expected).paths
+        assert log.path == [0, 1, 2, 3, 1]
+
+    def test_colliding_tail_hashes_fall_back_to_exact_comparison(self, monkeypatch, tower1_log):
+        # With every multiplier 0 every tail hashes alike; only the exact comparison tells them apart.
+        monkeypatch.setattr(ingest, "_TAIL_HASH", np.zeros_like(ingest._TAIL_HASH))
+        text = tower1_log + (TEST_DATA / "pairing_capture.log").read_text()
+        expected_warnings = []
+        expected = oracle_parse_ping_log(text, expected_warnings)
+        records, warnings = parse_strictly(text)
+        assert len(PingLog.of(expected).paths) > 2
+        assert records == expected
+        assert records.paths == PingLog.of(expected).paths
         assert warnings == expected_warnings
 
     def test_shifted_tokens_do_not_align(self):
