@@ -363,15 +363,16 @@ def _chunk_columns(chunk: str) -> _ChunkColumns:
     parse_ping_record. A chunk that holds a line break other than "\\n" and
     "\\r\\n" is left to it line by line, numbered as splitlines numbers them.
     """
-    if "\r" in chunk and chunk.count("\r") != chunk.count("\r\n"):
-        return _splitlines_chunk(chunk)
-    # Positions count from the start of the padding, so every window fits;
-    # "replace" writes a "?" for each non-ASCII character, which then reads as DEL.
-    padded = np.concatenate((_PADDING, np.frombuffer(chunk.encode("ascii", "replace"), np.uint8)))
+    # Positions count from the start of the padding, so every window fits.
+    # Latin-1 keeps one byte per character: a non-ASCII one reads from 0x80
+    # on, and "replace" writes a "?" for one past U+00FF, set to DEL here.
+    padded = np.concatenate((_PADDING, np.frombuffer(chunk.encode("latin-1", "replace"), np.uint8)))
     if not chunk.isascii():
         marks = np.flatnonzero(padded == _QUESTION_MARK).tolist()
         padded[[at for at in marks if chunk[at - len(_PADDING)] != "?"]] = _DEL
-    # Control bytes but tab, LF and CR, DEL, and so every non-ASCII character.
+    if "\r" in chunk and (padded[np.flatnonzero(padded == _CR) + 1] != _LF).any():
+        return _splitlines_chunk(chunk)
+    # Control bytes but tab, LF and CR, DEL and every non-ASCII character.
     odd_byte = (padded < _SPACE) ^ (padded == _TAB) ^ (padded == _LF) ^ (padded == _CR) | (padded >= _DEL)
     odd_at = np.flatnonzero(odd_byte) if odd_byte.any() else np.zeros(0, np.intp)
     if odd_at.size and any(map(chunk.__contains__, _OTHER_LINE_BREAKS)):
@@ -473,7 +474,7 @@ def _distinct_tails(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray) ->
     Tails are compared by a hash of their bytes in a right-aligned window;
     when two different tails share a hash, by their bytes.
     """
-    width = -(-int((ends - starts).max(initial=0)) // 8) * 8
+    width = -(-int((ends - starts).max(initial=0)) // 8) * 8  # whole 64-bit words
     window, inside = _window(padded, starts, ends, width)
     tails = window * inside
     words = tails.view(np.uint64)

@@ -103,8 +103,8 @@ def trace_line(draw):
 
 @st.composite
 def trace_texts(draw):
-    """Up to 30 lines from trace_line(), ended by "\n" only, by "\n" or
-    "\r\n", or by any line break: parse_ping_log reads columns only from
+    """Up to 30 lines from trace_line(), ended by "\\n" only, by "\\n" or
+    "\\r\\n", or by any line break: parse_ping_log reads columns only from
     the first two kinds of text."""
     lines = draw(st.lists(trace_line(), max_size=30))
     breaks = draw(st.sampled_from([["\n"], ["\n", "\r\n"], LINE_SEPARATORS]))
@@ -164,7 +164,7 @@ def long_trace_texts(draw):
     """A chunk size of a few hundred characters and a text of several chunks:
     well-formed lines, with a few runs of odd ones from trace_line(),
     shifted_line() or wide_line() anywhere. The first chunk ends inside the
-    first run. Lines end in "\n", mostly, or "\r\n" or another line break,
+    first run. Lines end in "\\n", mostly, or "\\r\\n" or another line break,
     and the last one may have none."""
     n_lines = draw(st.integers(20, 60))
     start_us = draw(st.integers(0, 10**8))
