@@ -45,9 +45,11 @@ from .errors import (
     InsufficientMeasurementsError,
 )
 from .geometry import Point3, TowerSite, hex_cell_layout
-# analyze-log calls the ingest functions through these module globals, which
-# the benchmark's traced run (perfbench/workloads.py) wraps, subtract_baseline
-# included, so every one of them stays here.
+# The benchmark's traced run (perfbench/workloads.py) wraps these module
+# globals, so analyze-log calls them through this module and every one stays
+# here. It wraps all but check_kernel_delay and propagation_csv, whose time
+# counts as cli's own, and subtract_baseline too, which analyze-log never
+# calls.
 from .ingest import (
     check_kernel_delay,
     discrepancy_report,
@@ -305,7 +307,7 @@ def cmd_analyze_log(args) -> Run:
     warnings: list[str] = []
     records = parse_ping_log(text, warnings)
     samples = pair_rtts(records)
-    if True not in samples.valid:
+    if not samples.valid.any():
         raise EmptyDataError("no valid request/reply pairs in log")
 
     files = {

@@ -10,12 +10,16 @@ The direction comes solely from the trailing token. Timestamps are decimal
 seconds with up to six fractional digits; they are held as exact integer
 microseconds internally so golden comparisons never drift through floats.
 
-A parsed trace is a ``PingLog`` and a paired one an ``RttTable``: parallel
-lists, one per field, so a long capture costs a few list appends per line
-rather than an object. Both are read-only sequences whose items, a
-``PingRecord`` or an ``RttSample``, are built only when read, and each
-compares equal to a list of the same items. Every function that takes
-records or samples also accepts a plain list of them.
+A parsed trace is a ``PingLog`` and a paired one an ``RttTable``: numpy
+columns, one per field (int64, bool, and a uint8 anomaly code), so a
+capture stays in arrays from parse to render. Both are read-only sequences
+whose items, a ``PingRecord`` or an ``RttSample``, are built only when read,
+with Python ints, bools and ``None``, and each compares equal to a list of
+the same items. Every function that takes records or samples also accepts
+a plain list of them. Every seq fits an int64 and every stamp lies from 0
+to ``INT64_MAX`` microseconds, so every interval fits an int64 too:
+``parse_ping_record`` calls a line with a value past either bound
+malformed, and ``PingLog.of`` rejects such a record.
 
 ``parse_ping_log`` reads the text in chunks of about ``CHUNK_CHARS``
 characters, each ending at a "\\n", and reads each chunk's bytes as numpy
@@ -33,7 +37,8 @@ for a single line and is the only source of malformed-line messages: a
 token count other than 0 or 8, a field that fails or runs past its
 window, and any non-ASCII or control byte but tab and the CR of "\\r\\n"
 ("²" is a digit to ``str.isdigit`` but not to ``int``, and "\\xa0" splits
-a token). A chunk holding any other line break goes line by line through
+a token). Its records go into the chunk's columns with ``np.insert``. A
+chunk holding any other line break goes line by line through
 ``splitlines``, whose numbering the messages use. Path ids follow the
 first appearance of each (src, dst) over both kinds of line, and a chunk's
 arrays keep the memory held at once to a chunk's worth, where a whole-text
@@ -42,17 +47,22 @@ arrays keep the memory held at once to a chunk's worth, where a whole-text
 Each request pairs with the earliest unconsumed reply after it whose
 (src, dst) is the reverse of its own; the exports carry no ICMP
 sequence/id fields, so record order is the only pairing key available.
-Replies on a path are therefore consumed in file order, which lets
-``pair_rtts`` run as one O(n) forward pass with a FIFO of pending requests
-per path. A reply timestamped before its request yields an invalid sample
-flagged as a negative interval rather than being dropped.
+Replies on a path are therefore consumed in file order, a FIFO of pending
+requests per path. ``pair_rtts`` runs that FIFO as one vector pass: on
+each path, a reply is consumed unless the requests less the replies so
+far reach a new low below 0 at it, which a running minimum shows, and the
+j-th consumed reply pairs with the j-th request. A reply timestamped
+before its request yields an invalid sample flagged as a negative
+interval rather than being dropped.
+
+The renderers build their text from uint8 digit matrices and a mask of
+the bytes each row keeps, and turn an interval into seconds as Python's
+``rtt_us / 10**6`` does, exactly, also past 2**53.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -96,7 +106,12 @@ _TAIL_HASH = np.array(
     np.uint64,
 )
 _TAB, _LF, _CR, _SPACE, _ZERO, _DOT, _QUESTION_MARK, _DEL = 0x09, 0x0A, 0x0D, 0x20, 0x30, 0x2E, 0x3F, 0x7F
+_COMMA, _MINUS = 0x2C, 0x2D
 _PADDING = np.full(_TAIL_WIDTH, _SPACE, np.uint8)
+_NO_INTS = np.zeros(0, np.int64)
+_NO_BOOLS = np.zeros(0, bool)
+# 10**k at k; the renderers count an integer's digits against it.
+_POWERS_OF_TEN = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 _COLUMNS = np.arange(_TAIL_WIDTH, dtype=np.int8)
 # What splitlines breaks a line at, but "\n" and "\r".
 _OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -107,6 +122,10 @@ _CSV_BOOL = ("false", "true")
 
 NEGATIVE = "negative"
 MISSING_REPLY = "missing_reply"
+# RttTable.anomaly indexes this.
+ANOMALIES = (None, NEGATIVE, MISSING_REPLY)
+
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -142,21 +161,23 @@ class RttSample:
 
 
 class _Columns(Sequence):
-    """A read-only sequence stored as parallel columns; items are built when read."""
+    """A read-only sequence stored as parallel numpy columns; items are built when read."""
 
-    def _item(self, index: int):
+    def _items(self, rows: slice | np.ndarray) -> list:
+        """The items of the given rows, built from Python values of the columns."""
         raise NotImplementedError
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._item(i) for i in range(*index.indices(len(self)))]
+            return self._items(index)
         n = len(self)
         if not -n <= index < n:
             raise IndexError(f"{type(self).__name__} index out of range")
-        return self._item(index % n)
+        index %= n
+        return self._items(slice(index, index + 1))[0]
 
     def __iter__(self):
-        return map(self._item, range(len(self)))
+        return iter(self._items(slice(None)))
 
     def __eq__(self, other):
         if not isinstance(other, (list, _Columns)):
@@ -169,71 +190,112 @@ class _Columns(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
+def _int64_column(values: list[int], name: str) -> np.ndarray:
+    """The values as an int64 array; ValueError names the field of one that does not fit."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        raise ValueError(f"a {name} is outside the int64 range") from None
+
+
 @dataclass(eq=False, repr=False)
 class PingLog(_Columns):
-    """Parsed trace records as columns; reading item i builds its PingRecord."""
+    """Parsed trace records as int64 and bool columns; reading item i builds its PingRecord."""
 
-    seq: list[int]
-    time_us: list[int]
-    path: list[int]  # index into paths
-    is_request: list[bool]
+    seq: np.ndarray  # int64
+    time_us: np.ndarray  # int64, from 0 to INT64_MAX
+    path: np.ndarray  # int64 index into paths
+    is_request: np.ndarray  # bool
     paths: list[tuple[str, str]]  # the distinct (src, dst), in order of first appearance
 
     @classmethod
     def of(cls, records: Iterable[PingRecord]) -> PingLog:
         """The records as a PingLog; a PingLog is returned as it is.
 
-        A record whose direction is not REQUEST counts as a reply.
+        A record whose direction is not REQUEST counts as a reply. Raises
+        ValueError for a seq outside int64 or a time_us outside 0 to
+        INT64_MAX, so that every interval between two records fits an int64.
         """
         if isinstance(records, cls):
             return records
         records = list(records)
         path_ids: dict[tuple[str, str], int] = {}
+        time_us = _int64_column([r.time_us for r in records], "time_us")
+        if (time_us < 0).any():
+            raise ValueError("a time_us is negative")
         return cls(
-            [r.seq for r in records],
-            [r.time_us for r in records],
-            [path_ids.setdefault((r.src, r.dst), len(path_ids)) for r in records],
-            [r.direction == REQUEST for r in records],
+            _int64_column([r.seq for r in records], "seq"),
+            time_us,
+            np.array([path_ids.setdefault((r.src, r.dst), len(path_ids)) for r in records], np.int64),
+            np.array([r.direction == REQUEST for r in records], bool),
             list(path_ids),
         )
 
     def __len__(self) -> int:
         return len(self.seq)
 
-    def _item(self, i: int) -> PingRecord:
-        src, dst = self.paths[self.path[i]]
-        return PingRecord(self.seq[i], self.time_us[i], src, dst, REQUEST if self.is_request[i] else REPLY)
+    def _items(self, rows) -> list[PingRecord]:
+        paths = self.paths
+        return [
+            PingRecord(seq, time_us, *paths[path], REQUEST if is_request else REPLY)
+            for seq, time_us, path, is_request in zip(
+                self.seq[rows].tolist(), self.time_us[rows].tolist(), self.path[rows].tolist(), self.is_request[rows].tolist()
+            )
+        ]
 
 
 @dataclass(eq=False, repr=False)
 class RttTable(_Columns):
-    """Paired samples as columns; reading item i builds its RttSample."""
+    """Paired samples as int64, bool and uint8 columns; reading item i builds its RttSample."""
 
-    request_seq: list[int]
-    reply_seq: list[int | None]
-    rtt_us: list[int | None]
-    valid: list[bool]
-    anomaly: list[str | None]
+    request_seq: np.ndarray  # int64
+    reply_seq: np.ndarray  # int64, 0 where not replied
+    rtt_us: np.ndarray  # int64, 0 where not replied
+    replied: np.ndarray  # bool: reply_seq and rtt_us are set, not None
+    valid: np.ndarray  # bool
+    anomaly: np.ndarray  # uint8 index into ANOMALIES
 
     @classmethod
     def of(cls, samples: Iterable[RttSample]) -> RttTable:
-        """The samples as an RttTable, flags kept; an RttTable is returned as it is."""
+        """The samples as an RttTable, flags kept; an RttTable is returned as it is.
+
+        Raises ValueError for a value outside int64, an anomaly not in
+        ANOMALIES, or a sample with only one of reply_seq and rtt_us.
+        """
         if isinstance(samples, cls):
             return samples
         samples = list(samples)
+        replied = [s.rtt_us is not None for s in samples]
+        if replied != [s.reply_seq is not None for s in samples]:
+            raise ValueError("a sample has only one of reply_seq and rtt_us")
+        try:
+            anomaly = np.array([ANOMALIES.index(s.anomaly) for s in samples], np.uint8)
+        except ValueError:
+            raise ValueError(f"an anomaly is none of {ANOMALIES}") from None
         return cls(
-            [s.request_seq for s in samples],
-            [s.reply_seq for s in samples],
-            [s.rtt_us for s in samples],
-            [s.valid for s in samples],
-            [s.anomaly for s in samples],
+            _int64_column([s.request_seq for s in samples], "request_seq"),
+            _int64_column([s.reply_seq or 0 for s in samples], "reply_seq"),
+            _int64_column([s.rtt_us or 0 for s in samples], "rtt_us"),
+            np.array(replied, bool),
+            np.array([bool(s.valid) for s in samples], bool),
+            anomaly,
         )
 
     def __len__(self) -> int:
         return len(self.request_seq)
 
-    def _item(self, i: int) -> RttSample:
-        return RttSample(self.request_seq[i], self.reply_seq[i], self.rtt_us[i], self.valid[i], self.anomaly[i])
+    def _items(self, rows) -> list[RttSample]:
+        return [
+            RttSample(request_seq, reply_seq if replied else None, rtt_us if replied else None, valid, ANOMALIES[anomaly])
+            for request_seq, reply_seq, rtt_us, replied, valid, anomaly in zip(
+                self.request_seq[rows].tolist(),
+                self.reply_seq[rows].tolist(),
+                self.rtt_us[rows].tolist(),
+                self.replied[rows].tolist(),
+                self.valid[rows].tolist(),
+                self.anomaly[rows].tolist(),
+            )
+        ]
 
 
 def parse_timestamp_us(text: str) -> int:
@@ -254,20 +316,24 @@ def format_timestamp(time_us: int) -> str:
 
 
 def parse_ping_record(line: str) -> PingRecord:
-    """Parse one trace line; raises ValueError for malformed input."""
+    """Parse one trace line; raises ValueError for malformed input.
+
+    A seq outside int64 or a timestamp past INT64_MAX microseconds is
+    malformed, so that every record fits a PingLog's columns.
+    """
     tokens = line.split()
     if len(tokens) < 5:
         raise ValueError(f"expected at least 5 fields, got {len(tokens)}")
     direction = tokens[-1].lower()
     if direction not in (REQUEST, REPLY):
         raise ValueError(f"trailing token {tokens[-1]!r} is neither request nor reply")
-    return PingRecord(
-        seq=int(tokens[0]),
-        time_us=parse_timestamp_us(tokens[1]),
-        src=tokens[2],
-        dst=tokens[3],
-        direction=direction,
-    )
+    seq = int(tokens[0])
+    if not -INT64_MAX - 1 <= seq <= INT64_MAX:
+        raise ValueError(f"seq {tokens[0]} is outside the int64 range")
+    time_us = parse_timestamp_us(tokens[1])
+    if time_us > INT64_MAX:
+        raise ValueError(f"timestamp {tokens[1]} is past the int64 range of microseconds")
+    return PingRecord(seq=seq, time_us=time_us, src=tokens[2], dst=tokens[3], direction=direction)
 
 
 def format_ping_record(record: PingRecord) -> str:
@@ -285,10 +351,8 @@ def parse_ping_log(text: str, warnings: list[str] | None = None) -> PingLog:
     Malformed lines are skipped, never fatal; pass a list as ``warnings``
     to collect a message per skipped line. Blank lines are ignored.
     """
-    seq: list[int] = []
-    time_us: list[int] = []
-    path: list[int] = []
-    is_request: list[bool] = []
+    # Each column's pieces, a chunk's worth each, joined at the end.
+    parts: tuple[list[np.ndarray], ...] = ([_NO_INTS], [_NO_INTS], [_NO_INTS], [_NO_BOOLS])
     path_ids: dict[tuple[str, str], int] = {}
     lines_before = 0
     for chunk in _chunks(text):
@@ -308,23 +372,15 @@ def parse_ping_log(text: str, warnings: list[str] | None = None) -> PingLog:
         for _, key in sorted(firsts, key=itemgetter(0)):
             path_ids.setdefault(key, len(path_ids))
         tail_path = np.array([path_ids[key] for _, key in columns.tail_firsts], np.int64)
-        column_values = (
-            columns.seq.tolist(),
-            columns.time_us.tolist(),
-            tail_path[columns.tail].tolist(),
-            columns.tail_is_request[columns.tail].tolist(),
-        )
-        # Each record of an odd line goes in before the first column row below it.
-        cuts = np.searchsorted(columns.lines, [index for index, _ in records]).tolist()
-        record_values = list(zip(*((r.seq, r.time_us, path_ids[r.src, r.dst], r.direction == REQUEST) for _, r in records)))
-        for out, values, inserts in zip((seq, time_us, path, is_request), column_values, record_values or [()] * 4):
-            done = 0
-            for cut, value in zip(cuts, inserts):
-                out += values[done:cut]
-                out.append(value)
-                done = cut
-            out += values[done:]
-    return PingLog(seq, time_us, path, is_request, list(path_ids))
+        values = (columns.seq, columns.time_us, tail_path[columns.tail], columns.tail_is_request[columns.tail])
+        if records:
+            # Each record of an odd line goes in before the first column row below it.
+            cuts = np.searchsorted(columns.lines, [index for index, _ in records])
+            inserts = zip(*((r.seq, r.time_us, path_ids[r.src, r.dst], r.direction == REQUEST) for _, r in records))
+            values = [np.insert(column, cuts, inserted) for column, inserted in zip(values, inserts)]
+        for part, column in zip(parts, values):
+            part.append(column)
+    return PingLog(*map(np.concatenate, parts), list(path_ids))
 
 
 def _chunks(text: str) -> Iterator[str]:
@@ -433,8 +489,7 @@ def _chunk_columns(chunk: str) -> _ChunkColumns:
 def _splitlines_chunk(chunk: str) -> _ChunkColumns:
     """A chunk with no column rows: every line is left to parse_ping_record."""
     lines = chunk.splitlines()
-    no_rows = np.zeros(0, np.intp)
-    return _ChunkColumns(len(lines), no_rows, no_rows, no_rows, no_rows, [], no_rows.astype(bool), list(enumerate(lines)))
+    return _ChunkColumns(len(lines), _NO_INTS, _NO_INTS, _NO_INTS, _NO_INTS, [], _NO_BOOLS, list(enumerate(lines)))
 
 
 def _window(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -494,54 +549,84 @@ def pair_rtts(records: Iterable[PingRecord]) -> RttTable:
     following reverse-path reply gives valid=False with MISSING_REPLY.
     Every record participates in at most one pair.
 
-    One forward pass keeps a FIFO of pending requests per (src, dst) path,
-    each holding its slot in the output. A reply pops the oldest pending
-    request on its reverse path; a reply with nothing pending is never used.
-    This equals taking requests in file order, each claiming its earliest
-    unconsumed reverse-path reply: a later request only sees replies after
-    itself, which are also after every earlier request on its path, so
-    replies are claimed in file order and each goes to the oldest request
-    still waiting before it. Cost is O(n) in the number of records.
+    Taking requests in file order, each claiming its earliest unconsumed
+    reverse-path reply, is a FIFO of pending requests per (src, dst) path: a
+    later request only sees replies after itself, which are also after every
+    earlier request on its path, so replies are claimed in file order and
+    each goes to the oldest request still waiting before it. A reply with
+    nothing pending is never used.
+
+    The FIFO runs as one vector pass. Each request is keyed by its own path
+    and each reply by its reverse path; a reply with no reverse path is
+    dropped. Within a key, in file order, let B be the requests less the
+    replies so far. The pending count is B less min(0, the lowest B so far),
+    so a reply is consumed iff B after it is at least min(0, the lowest B
+    before it), and the j-th consumed reply pairs with the j-th request. One
+    np.minimum.accumulate takes every key's running minimum at once, each
+    key's B shifted below those of the keys sorted before it.
     """
     log = PingLog.of(records)
     path_ids = {key: i for i, key in enumerate(log.paths)}
-    reverse = [path_ids.get((dst, src)) for src, dst in log.paths]
-    pending: list[deque[int]] = [deque() for _ in log.paths]
-    request_seq: list[int] = []
-    request_time: list[int] = []
-    n_requests = sum(log.is_request)
-    # Every request starts unanswered; a reply fills in its slot.
-    reply_seq: list[int | None] = [None] * n_requests
-    rtt_us: list[int | None] = [None] * n_requests
-    valid = [False] * n_requests
-    anomaly: list[str | None] = [MISSING_REPLY] * n_requests
-    for seq, time, path, is_request in zip(log.seq, log.time_us, log.path, log.is_request):
-        if is_request:
-            pending[path].append(len(request_seq))
-            request_seq.append(seq)
-            request_time.append(time)
-            continue
-        reverse_path = reverse[path]
-        if reverse_path is None:
-            continue
-        queue = pending[reverse_path]
-        if not queue:
-            continue
-        slot = queue.popleft()
-        reply_seq[slot] = seq
-        rtt_us[slot] = interval = time - request_time[slot]
-        if interval < 0:
-            anomaly[slot] = NEGATIVE
-        else:
-            valid[slot] = True
-            anomaly[slot] = None
-    return RttTable(request_seq, reply_seq, rtt_us, valid, anomaly)
+    reverse = np.array([path_ids.get((dst, src), -1) for src, dst in log.paths], np.int64)
+    key = np.where(log.is_request, log.path, reverse[log.path])
+    # File order within each key.
+    order = np.flatnonzero(key >= 0)
+    # The narrowest dtype that holds the keys lets the stable sort run as a radix sort.
+    order = order[np.argsort(key[order].astype(np.min_scalar_type(len(log.paths))), kind="stable")]
+    key = key[order]
+    is_request = log.is_request[order]
+    counts = np.bincount(key, minlength=len(log.paths))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    balance = np.cumsum(np.where(is_request, 1, -1))
+    balance -= np.concatenate(([0], balance))[starts][key]
+    # A key's B lies within +-counts, so shifting each by starts + ends puts it at or below every earlier key's.
+    shift = (starts + ends)[key]
+    lowest = np.minimum.accumulate(balance - shift) + shift
+    lowest_before = np.minimum(np.concatenate(([0], lowest[:-1])), 0)
+    lowest_before[starts[counts > 0]] = 0
+    consumed = ~is_request & (balance >= lowest_before)
+    # The j-th consumed reply of a key and the j-th request of that key, as rows of the log.
+    requests = order[is_request]
+    replies = order[consumed]
+    reply_key = key[consumed]
+    request_counts = np.bincount(key[is_request], minlength=len(log.paths))
+    request_starts = np.cumsum(request_counts) - request_counts
+    reply_counts = np.bincount(reply_key, minlength=len(log.paths))
+    rank = np.arange(len(replies)) - (np.cumsum(reply_counts) - reply_counts)[reply_key]
+    answered = requests[request_starts[reply_key] + rank]
+    # Each answered request's slot in the output, which is in file order.
+    slot = (np.cumsum(log.is_request) - 1)[answered]
+    n_requests = int(np.count_nonzero(log.is_request))
+    reply_seq = np.zeros(n_requests, np.int64)
+    reply_seq[slot] = log.seq[replies]
+    rtt_us = np.zeros(n_requests, np.int64)
+    rtt_us[slot] = log.time_us[replies] - log.time_us[answered]
+    replied = np.zeros(n_requests, bool)
+    replied[slot] = True
+    valid = replied & (rtt_us >= 0)
+    anomaly = np.full(n_requests, ANOMALIES.index(MISSING_REPLY), np.uint8)
+    anomaly[replied] = np.where(valid[replied], ANOMALIES.index(None), ANOMALIES.index(NEGATIVE))
+    return RttTable(log.seq[log.is_request], reply_seq, rtt_us, replied, valid, anomaly)
 
 
 def check_kernel_delay(kernel_delay: float) -> None:
     """Raise ValueError unless the kernel delay is finite and non-negative."""
     if not (math.isfinite(kernel_delay) and kernel_delay >= 0):
         raise ValueError(f"kernel delay must be finite and non-negative, got {kernel_delay}")
+
+
+def _seconds(rtt_us: np.ndarray) -> np.ndarray:
+    """Each interval in seconds, rounded once like Python's ``rtt_us / US_PER_S``.
+
+    An int64 past 2**53 in magnitude is rounded on its way to a float64, so
+    such rare values are divided as Python ints instead.
+    """
+    seconds = rtt_us / US_PER_S
+    wide = (rtt_us > 2**53) | (rtt_us < -(2**53))
+    if wide.any():
+        seconds[wide] = [rtt / US_PER_S for rtt in rtt_us[wide].tolist()]
+    return seconds
 
 
 def subtract_baseline(samples: Iterable[RttSample], kernel_delay: float) -> list[float]:
@@ -555,42 +640,93 @@ def subtract_baseline(samples: Iterable[RttSample], kernel_delay: float) -> list
     """
     check_kernel_delay(kernel_delay)
     table = RttTable.of(samples)
-    return [rtt / US_PER_S - kernel_delay for rtt, valid in zip(table.rtt_us, table.valid) if valid]
+    return (_seconds(table.rtt_us[table.valid]) - kernel_delay).tolist()
 
 
 def rtt_stats(samples: Iterable[RttSample]) -> dict[str, float]:
     """Summary statistics (seconds) over the valid samples only.
 
+    The median of an even count is the mean of the two middle values, and
+    the mean is the correctly rounded sum over the count, as in
+    ``statistics.median`` and ``statistics.fmean``.
+
     Raises:
         EmptyDataError: when no sample is valid.
     """
     table = RttTable.of(samples)
-    values = [rtt / US_PER_S for rtt, valid in zip(table.rtt_us, table.valid) if valid]
-    if not values:
+    values = _seconds(np.sort(table.rtt_us[table.valid])).tolist()
+    n = len(values)
+    if not n:
         raise EmptyDataError("no valid RTT samples to summarize")
-    return {
-        "count": len(values),
-        "min": min(values),
-        "median": statistics.median(values),
-        "mean": statistics.fmean(values),
-        "max": max(values),
-    }
+    middle = values[n // 2] if n % 2 else (values[n // 2 - 1] + values[n // 2]) / 2
+    return {"count": n, "min": values[0], "median": middle, "mean": math.fsum(values) / n, "max": values[-1]}
+
+
+def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each int64 in decimal ASCII, right-aligned in a row of a uint8 matrix
+    with a "-" before a negative one, and a mask of each row's own bytes."""
+    negative = values < 0
+    magnitude = values.view(np.uint64)
+    magnitude = np.where(negative, np.uint64(0) - magnitude, magnitude)
+    n_digits = np.maximum(np.searchsorted(_POWERS_OF_TEN, magnitude, side="right"), 1)
+    width = int(n_digits.max(initial=1)) + bool(negative.any())
+    # Filled a byte column at a time, each one contiguous, and returned transposed.
+    text = np.empty((width, len(values)), np.uint8)
+    for column in text[::-1]:
+        tens = magnitude // 10
+        column[:] = magnitude - tens * 10
+        magnitude = tens
+    text += _ZERO
+    length = n_digits + negative
+    text[width - length[negative], np.flatnonzero(negative)] = _MINUS
+    return text.T, (np.arange(width)[:, None] >= width - length).T
+
+
+def _strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII strings left-aligned in the rows of a uint8 matrix, and a mask of each row's own bytes."""
+    width = max(map(len, strings), default=0)
+    text = np.frombuffer("".join(s.ljust(width) for s in strings).encode("ascii"), np.uint8)
+    lengths = np.array([len(s) for s in strings], np.int64)
+    return text.reshape(len(strings), width), np.arange(width) < lengths[:, None]
+
+
+def _choices(strings: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """strings[codes[i]] in row i, as _strings lays them out, only as wide as the strings picked."""
+    picked = np.bincount(codes, minlength=len(strings)) > 0
+    text, used = _strings([string if pick else "" for string, pick in zip(strings, picked.tolist())])
+    return text[codes], used[codes]
+
+
+def _csv(header: str, fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
+    """The header line, then one line per row of the fields, joined by commas.
+
+    A field is a uint8 text matrix with a row per line and a mask of the
+    bytes of each row that are its own, as _decimals and _strings make them.
+    """
+    n = len(fields[0][0])
+    texts, masks = [], []
+    for text, used in fields:
+        texts += [text, np.broadcast_to(np.uint8(_COMMA), (n, 1))]
+        masks += [used, np.broadcast_to(True, (n, 1))]
+    texts[-1] = np.broadcast_to(np.uint8(_LF), (n, 1))
+    return header + "\n" + np.hstack(texts)[np.hstack(masks)].tobytes().decode("ascii")
 
 
 def rtt_csv(samples: Iterable[RttSample]) -> str:
     """Render samples as CSV: request_seq, reply_seq, rtt_us, valid, anomaly."""
     table = RttTable.of(samples)
-    lines = ["request_seq,reply_seq,rtt_us,valid,anomaly"]
-    lines += [
-        f"{request_seq},{'' if reply_seq is None else reply_seq},{'' if rtt_us is None else rtt_us},"
-        f"{_CSV_BOOL[valid]},{anomaly or ''}"
-        for request_seq, reply_seq, rtt_us, valid, anomaly in zip(
-            table.request_seq, table.reply_seq, table.rtt_us, table.valid, table.anomaly
-        )
-    ]
-    # A trailing empty item ends the text with a newline without copying it.
-    lines.append("")
-    return "\n".join(lines)
+    reply_seq, reply_used = _decimals(table.reply_seq)
+    rtt_us, rtt_used = _decimals(table.rtt_us)
+    return _csv(
+        "request_seq,reply_seq,rtt_us,valid,anomaly",
+        [
+            _decimals(table.request_seq),
+            (reply_seq, reply_used & table.replied[:, None]),
+            (rtt_us, rtt_used & table.replied[:, None]),
+            _choices(_CSV_BOOL, table.valid.view(np.uint8)),
+            _choices([name or "" for name in ANOMALIES], table.anomaly),
+        ],
+    )
 
 
 def propagation_csv(samples: Iterable[RttSample], kernel_delay: float) -> str:
@@ -598,22 +734,18 @@ def propagation_csv(samples: Iterable[RttSample], kernel_delay: float) -> str:
 
     One row per valid sample; a negative propagation time is flagged. A
     row's text after request_seq depends only on the sample's rtt_us, so it
-    is formatted once per distinct rtt_us: a clean capture repeats a few
-    hundred values across thousands of rows.
+    is formatted once per distinct rtt_us, as a Python int: a clean capture
+    repeats a few hundred values across thousands of rows.
     """
     check_kernel_delay(kernel_delay)
     table = RttTable.of(samples)
-    tails: dict[int, str] = {}
-    lines = ["request_seq,prop_s,flagged_negative"]
-    for seq, rtt, valid in zip(table.request_seq, table.rtt_us, table.valid):
-        if valid:
-            tail = tails.get(rtt)
-            if tail is None:
-                prop = rtt / US_PER_S - kernel_delay
-                tail = tails[rtt] = f"{prop:.9e},{_CSV_BOOL[prop < 0]}"
-            lines.append(f"{seq},{tail}")
-    lines.append("")
-    return "\n".join(lines)
+    rows = np.flatnonzero(table.valid)
+    distinct, which = np.unique(table.rtt_us[rows], return_inverse=True)
+    tails = []
+    for rtt in distinct.tolist():
+        prop = rtt / US_PER_S - kernel_delay
+        tails.append(f"{prop:.9e},{_CSV_BOOL[prop < 0]}")
+    return _csv("request_seq,prop_s,flagged_negative", [_decimals(table.request_seq[rows]), _choices(tails, which)])
 
 
 def stats_summary(stats: dict[str, float]) -> str:
@@ -633,14 +765,14 @@ def discrepancy_report(samples: Iterable[RttSample], warnings: list[str] | None 
     """
     table = RttTable.of(samples)
     lines = []
-    for i, anomaly in enumerate(table.anomaly):
-        if anomaly == NEGATIVE:
+    for sample in table._items(np.flatnonzero(table.anomaly)):
+        if sample.anomaly == NEGATIVE:
             lines.append(
-                f"negative-interval\trequest_seq={table.request_seq[i]}"
-                f"\treply_seq={table.reply_seq[i]}\trtt_us={table.rtt_us[i]}"
+                f"negative-interval\trequest_seq={sample.request_seq}"
+                f"\treply_seq={sample.reply_seq}\trtt_us={sample.rtt_us}"
             )
-        elif anomaly == MISSING_REPLY:
-            lines.append(f"missing-reply\trequest_seq={table.request_seq[i]}")
+        else:
+            lines.append(f"missing-reply\trequest_seq={sample.request_seq}")
     for message in warnings or ():
         lines.append(f"malformed-line\t{message}")
     if not lines:

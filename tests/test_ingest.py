@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import rendering_oracle
+from pairing_oracle import fifo_pair_rtts
 from pairing_oracle import pair_rtts as oracle_pair_rtts
 from parsing_oracle import parse_ping_log as oracle_parse_ping_log
 
 from gsmloc import ingest
 from gsmloc.errors import EmptyDataError
 from gsmloc.ingest import (
+    ANOMALIES,
+    INT64_MAX,
     MISSING_REPLY,
     NEGATIVE,
     REPLY,
@@ -187,6 +191,27 @@ def long_trace_texts(draw):
     return chunk_chars, text
 
 
+@st.composite
+def capture_texts(draw):
+    """Trace texts for the parse, pair and render pipeline. Up to 8 hosts
+    give paths with src == dst, paths with no reverse and many distinct
+    paths; requests and replies in any order give lost and surplus replies
+    and negative intervals, and often no valid sample at all. Seqs and
+    stamps reach the int64 edges, some one past them (malformed lines), and
+    intervals past 2**53 microseconds."""
+    hosts = [f"10.0.0.{k}" for k in range(draw(st.integers(1, 8)))]
+    seqs = st.one_of(st.integers(0, 100), st.sampled_from([INT64_MAX, INT64_MAX + 1, -INT64_MAX - 1, -INT64_MAX - 2]))
+    times = st.one_of(
+        st.integers(0, 5),
+        st.integers(0, 10**7),
+        st.sampled_from([2**53 + 1, 1211945163729050442, INT64_MAX - 1, INT64_MAX, INT64_MAX + 1]),
+        st.integers(0, INT64_MAX),
+    )
+    directions = st.sampled_from([REQUEST, REPLY])
+    rows = draw(st.lists(st.tuples(seqs, times, st.sampled_from(hosts), st.sampled_from(hosts), directions), max_size=60))
+    return "".join(format_ping_record(PingRecord(*row)) + "\n" for row in rows)
+
+
 def parse_strictly(text):
     """parse_ping_log's log and warnings, with every Python warning raised:
     numpy warns of a wrapped uint8 or an overflowed int64 only that way."""
@@ -307,7 +332,7 @@ class TestParsing:
         assert log == expected
         assert log.paths == [("10.0.0.1", "10.0.0.2"), ("10.0.0.9", "10.0.0.1"), ("10.0.0.2", "10.0.0.1"), ("10.0.0.1", "10.0.0.9")]
         assert log.paths == PingLog.of(expected).paths
-        assert log.path == [0, 1, 2, 3, 1]
+        assert log.path.tolist() == [0, 1, 2, 3, 1]
 
     def test_colliding_tail_hashes_fall_back_to_exact_comparison(self, monkeypatch, tower1_log):
         # With every multiplier 0 every tail hashes alike; only the exact comparison tells them apart.
@@ -347,6 +372,37 @@ class TestParsing:
             tracemalloc.stop()
         assert len(records) == 40_000
         assert peak < 4 * len(text)
+
+    @pytest.mark.parametrize(
+        "seq, time_us, fits",
+        [
+            (INT64_MAX, 1, True),
+            (INT64_MAX + 1, 1, False),
+            (-INT64_MAX - 1, 1, True),
+            (-INT64_MAX - 2, 1, False),
+            (1, INT64_MAX, True),
+            (1, INT64_MAX + 1, False),
+        ],
+    )
+    def test_values_must_fit_an_int64(self, seq, time_us, fits):
+        record = PingRecord(seq, time_us, "10.0.0.1", "10.0.0.2", REQUEST)
+        line = format_ping_record(record)
+        warnings = []
+        if fits:
+            assert parse_ping_record(line) == record
+            assert parse_ping_log(line, warnings) == PingLog.of([record]) == [record]
+            assert warnings == []
+        else:
+            with pytest.raises(ValueError, match="int64"):
+                parse_ping_record(line)
+            assert parse_ping_log(line, warnings) == []
+            assert len(warnings) == 1 and "int64" in warnings[0]
+            with pytest.raises(ValueError, match="int64"):
+                PingLog.of([record])
+
+    def test_log_rejects_a_negative_time(self):
+        with pytest.raises(ValueError, match="negative"):
+            PingLog.of([PingRecord(1, -1, "10.0.0.1", "10.0.0.2", REQUEST)])
 
     def test_timestamp_exact_microseconds(self):
         assert parse_timestamp_us("21.000091") == 21000091
@@ -391,10 +447,24 @@ class TestColumns:
         # an unusual combination no pairing produces: invalid, no anomaly
         samples = [RttSample(1, 2, 500, valid=True), RttSample(3, 4, 700, valid=False)]
         table = RttTable.of(samples)
-        assert table == samples and table.valid == [True, False] and table.anomaly == [None, None]
+        assert table == samples and table.valid.tolist() == [True, False]
+        assert [ANOMALIES[code] for code in table.anomaly.tolist()] == [None, None]
         assert rtt_stats(samples)["count"] == 1
         assert rtt_csv(samples).splitlines()[2] == "3,4,700,false,"
         assert discrepancy_report(samples) == "none\n"
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            RttSample(1, 2, None, valid=False),
+            RttSample(1, None, 5, valid=False),
+            RttSample(1, 2, 5, valid=True, anomaly="late"),
+            RttSample(INT64_MAX + 1, 2, 5, valid=True),
+        ],
+    )
+    def test_table_rejects_what_its_columns_cannot_hold(self, sample):
+        with pytest.raises(ValueError):
+            RttTable.of([sample])
 
     def test_table_reads_like_a_list_of_samples(self):
         table = pair_rtts(parse_ping_log(self.TEXT))
@@ -459,7 +529,9 @@ class TestPairing:
     @settings(max_examples=500, deadline=None)
     @given(ping_records())
     def test_matches_quadratic_oracle(self, records):
-        assert pair_rtts(records) == oracle_pair_rtts(records)
+        expected = oracle_pair_rtts(records)
+        assert pair_rtts(records) == expected
+        assert fifo_pair_rtts(records) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(trace_texts())
@@ -601,3 +673,58 @@ class TestRenderers:
     def test_discrepancy_report_includes_warnings(self):
         report = discrepancy_report([], warnings=["line 3: expected at least 5 fields, got 2"])
         assert "malformed-line" in report
+
+    def test_intervals_past_2_53_us_round_like_python_ints(self):
+        # float64(n) / 1e6 rounds twice for these n, and differs from n / 10**6.
+        wide = [2**53 + 1, 1211945163729050442, 8457106966114034084, -4381379356234776829]
+        assert all(np.float64(n) / 1e6 != n / 10**6 for n in wide)
+        samples = samples_from_us(wide + [INT64_MAX, 690, 567])
+        for k in (len(samples), len(samples) - 1):  # an odd count, then an even one
+            assert rtt_stats(samples[:k]) == rendering_oracle.rtt_stats(samples[:k])
+        assert subtract_baseline(samples, 0.0005) == rendering_oracle.subtract_baseline(samples, 0.0005)
+        assert propagation_csv(samples, 0.0005) == rendering_oracle.propagation_csv(samples, 0.0005)
+        assert rtt_csv(samples) == rendering_oracle.rtt_csv(samples)
+
+    @settings(max_examples=400, deadline=None)
+    @given(capture_texts(), st.one_of(st.just(0.0), st.floats(0, 10)))
+    def test_pipeline_matches_the_oracle_pipeline(self, text, kernel_delay):
+        warnings, expected_warnings = [], []
+        table = pair_rtts(parse_ping_log(text, warnings))
+        expected = oracle_pair_rtts(oracle_parse_ping_log(text, expected_warnings))
+        assert warnings == expected_warnings
+        assert rtt_csv(table) == rendering_oracle.rtt_csv(expected)
+        assert discrepancy_report(table, warnings) == rendering_oracle.discrepancy_report(expected, expected_warnings)
+        assert propagation_csv(table, kernel_delay) == rendering_oracle.propagation_csv(expected, kernel_delay)
+        assert subtract_baseline(table, kernel_delay) == rendering_oracle.subtract_baseline(expected, kernel_delay)
+        if any(s.valid for s in expected):
+            assert rtt_stats(table) == rendering_oracle.rtt_stats(expected)
+        else:
+            with pytest.raises(EmptyDataError):
+                rtt_stats(table)
+            with pytest.raises(EmptyDataError):
+                rendering_oracle.rtt_stats(expected)
+
+    def test_pipeline_peak_memory_stays_near_the_text(self):
+        # A clean 40 000-line capture: one host pings 4 towers in turn, and
+        # each reply comes back 400 to 4000 us after its request.
+        towers = [f"169.254.65.{k}" for k in range(1, 5)]
+        lines = []
+        for k in range(20_000):
+            mobile, tower, sent = "169.254.118.52", towers[k % 4], 1000 + 50_000 * k
+            lines.append(f"{2 * k + 1}\t{format_timestamp(sent)}\t{mobile}\t{tower}\tICMP\tEcho (ping) request\n")
+            lines.append(f"{2 * k + 2}\t{format_timestamp(sent + 400 + k * 7 % 3600)}\t{tower}\t{mobile}\tICMP\tEcho (ping) reply\n")
+        text = "".join(lines)
+        tracemalloc.start()
+        try:
+            table = pair_rtts(parse_ping_log(text))
+            outputs = [
+                rtt_csv(table),
+                stats_summary(rtt_stats(table)),
+                discrepancy_report(table),
+                propagation_csv(table, 0.0005),
+            ]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 20_000 and outputs[2] == "none\n"
+        assert peak < 4 * len(text)
