@@ -682,26 +682,22 @@ def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return text.T, (np.arange(width)[:, None] >= width - length).T
 
 
-def _strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII strings left-aligned in the rows of a uint8 matrix, and a mask of each row's own bytes."""
+def _choices(strings: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """strings[codes[i]] left-aligned in row i of a uint8 matrix, and a mask
+    of each row's own bytes; the matrix is only as wide as the strings picked."""
+    picked = np.bincount(codes, minlength=len(strings)).astype(bool).tolist()
+    strings = [string if pick else "" for string, pick in zip(strings, picked)]
     width = max(map(len, strings), default=0)
     text = np.frombuffer("".join(s.ljust(width) for s in strings).encode("ascii"), np.uint8)
-    lengths = np.array([len(s) for s in strings], np.int64)
-    return text.reshape(len(strings), width), np.arange(width) < lengths[:, None]
-
-
-def _choices(strings: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """strings[codes[i]] in row i, as _strings lays them out, only as wide as the strings picked."""
-    picked = np.bincount(codes, minlength=len(strings)) > 0
-    text, used = _strings([string if pick else "" for string, pick in zip(strings, picked.tolist())])
-    return text[codes], used[codes]
+    used = np.arange(width) < np.array([len(s) for s in strings], np.int64)[:, None]
+    return text.reshape(len(strings), width)[codes], used[codes]
 
 
 def _csv(header: str, fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
     """The header line, then one line per row of the fields, joined by commas.
 
     A field is a uint8 text matrix with a row per line and a mask of the
-    bytes of each row that are its own, as _decimals and _strings make them.
+    bytes of each row that are its own, as _decimals and _choices make them.
     """
     n = len(fields[0][0])
     texts, masks = [], []
@@ -741,11 +737,11 @@ def propagation_csv(samples: Iterable[RttSample], kernel_delay: float) -> str:
     table = RttTable.of(samples)
     rows = np.flatnonzero(table.valid)
     distinct, which = np.unique(table.rtt_us[rows], return_inverse=True)
-    tails = []
-    for rtt in distinct.tolist():
-        prop = rtt / US_PER_S - kernel_delay
-        tails.append(f"{prop:.9e},{_CSV_BOOL[prop < 0]}")
-    return _csv("request_seq,prop_s,flagged_negative", [_decimals(table.request_seq[rows]), _choices(tails, which)])
+    # Made in the call, the formatted strings are freed before the rows are joined.
+    tails = _choices(
+        [f"{(prop := rtt / US_PER_S - kernel_delay):.9e},{_CSV_BOOL[prop < 0]}" for rtt in distinct.tolist()], which
+    )
+    return _csv("request_seq,prop_s,flagged_negative", [_decimals(table.request_seq[rows]), tails])
 
 
 def stats_summary(stats: dict[str, float]) -> str:
