@@ -12,14 +12,15 @@ microseconds internally so golden comparisons never drift through floats.
 
 A parsed trace is a ``PingLog`` and a paired one an ``RttTable``: numpy
 columns, one per field (int64, bool, and a uint8 anomaly code), so a
-capture stays in arrays from parse to render. Both are read-only sequences
-whose items, a ``PingRecord`` or an ``RttSample``, are built only when read,
-with Python ints, bools and ``None``, and each compares equal to a list of
-the same items. Every function that takes records or samples also accepts
-a plain list of them. Every seq fits an int64 and every stamp lies from 0
-to ``INT64_MAX`` microseconds, so every interval fits an int64 too:
+capture stays in arrays from parse to render. ``parse_ping_log`` alone
+builds a ``PingLog``, which ``pair_rtts`` takes, and ``pair_rtts`` alone
+builds an ``RttTable``, which the renderers take. Both are read-only
+sequences whose items, a ``PingRecord`` or an ``RttSample``, are built only
+when read, with Python ints, bools and ``None``, and each compares equal to
+a list of the same items. Every seq fits an int64 and every stamp lies from
+0 to ``INT64_MAX`` microseconds, so every interval fits an int64 too:
 ``parse_ping_record`` calls a line with a value past either bound
-malformed, and ``PingLog.of`` rejects such a record.
+malformed.
 
 ``parse_ping_log`` reads the text in chunks of about ``CHUNK_CHARS``
 characters, each ending at a "\\n", and reads each chunk's bytes as numpy
@@ -35,13 +36,14 @@ which must be exactly ``request`` or ``reply``. A line the columns cannot
 take goes alone through ``parse_ping_record``, which decides it exactly as
 for a single line and is the only source of malformed-line messages: a
 token count other than 0 or 8, a field that fails or runs past its
-window, and any non-ASCII or control byte but tab and the CR of "\\r\\n"
-("²" is a digit to ``str.isdigit`` but not to ``int``, and "\\xa0" splits
-a token). Its records go into the chunk's columns with ``np.insert``. A
-chunk holding any other line break goes line by line through
-``splitlines``, whose numbering the messages use. Path ids follow the
-first appearance of each (src, dst) over both kinds of line, and a chunk's
-arrays keep the memory held at once to a chunk's worth, where a whole-text
+window, and any control byte but tab and the CR of "\\r\\n". Its records go
+into the chunk's columns with ``np.insert``. A chunk holding any non-ASCII
+character ("²" is a digit to ``str.isdigit`` but not to ``int``, and
+"\\xa0" splits a token) or any other line break goes line by line through
+``splitlines`` and ``parse_ping_record``, whose numbering the messages use;
+such a chunk parses several times slower. Path ids follow the first
+appearance of each (src, dst) over both kinds of line, and a chunk's arrays
+keep the memory held at once to a chunk's worth, where a whole-text
 ``split`` would hold some seven times the text.
 
 Each request pairs with the earliest unconsumed reply after it whose
@@ -63,7 +65,7 @@ the bytes each row keeps, and turn an interval into seconds as Python's
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -105,7 +107,7 @@ _TAIL_HASH = np.array(
     ],
     np.uint64,
 )
-_TAB, _LF, _CR, _SPACE, _ZERO, _DOT, _QUESTION_MARK, _DEL = 0x09, 0x0A, 0x0D, 0x20, 0x30, 0x2E, 0x3F, 0x7F
+_TAB, _LF, _CR, _SPACE, _ZERO, _DOT, _DEL = 0x09, 0x0A, 0x0D, 0x20, 0x30, 0x2E, 0x7F
 _COMMA, _MINUS = 0x2C, 0x2D
 _PADDING = np.full(_TAIL_WIDTH, _SPACE, np.uint8)
 _NO_INTS = np.zeros(0, np.int64)
@@ -113,8 +115,8 @@ _NO_BOOLS = np.zeros(0, bool)
 # 10**k at k; the renderers count an integer's digits against it.
 _POWERS_OF_TEN = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 _COLUMNS = np.arange(_TAIL_WIDTH, dtype=np.int8)
-# What splitlines breaks a line at, but "\n" and "\r".
-_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# What splitlines breaks an ASCII line at, but "\n" and "\r".
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
 
 REQUEST = "request"
 REPLY = "reply"
@@ -154,11 +156,6 @@ class RttSample:
     valid: bool
     anomaly: str | None = None  # NEGATIVE or MISSING_REPLY
 
-    @property
-    def rtt(self) -> float | None:
-        """Round-trip time in seconds, or None for a missing reply."""
-        return None if self.rtt_us is None else self.rtt_us / US_PER_S
-
 
 class _Columns(Sequence):
     """A read-only sequence stored as parallel numpy columns; items are built when read."""
@@ -190,14 +187,6 @@ class _Columns(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
-def _int64_column(values: list[int], name: str) -> np.ndarray:
-    """The values as an int64 array; ValueError names the field of one that does not fit."""
-    try:
-        return np.array(values, np.int64)
-    except OverflowError:
-        raise ValueError(f"a {name} is outside the int64 range") from None
-
-
 @dataclass(eq=False, repr=False)
 class PingLog(_Columns):
     """Parsed trace records as int64 and bool columns; reading item i builds its PingRecord."""
@@ -207,29 +196,6 @@ class PingLog(_Columns):
     path: np.ndarray  # int64 index into paths
     is_request: np.ndarray  # bool
     paths: list[tuple[str, str]]  # the distinct (src, dst), in order of first appearance
-
-    @classmethod
-    def of(cls, records: Iterable[PingRecord]) -> PingLog:
-        """The records as a PingLog; a PingLog is returned as it is.
-
-        A record whose direction is not REQUEST counts as a reply. Raises
-        ValueError for a seq outside int64 or a time_us outside 0 to
-        INT64_MAX, so that every interval between two records fits an int64.
-        """
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        path_ids: dict[tuple[str, str], int] = {}
-        time_us = _int64_column([r.time_us for r in records], "time_us")
-        if (time_us < 0).any():
-            raise ValueError("a time_us is negative")
-        return cls(
-            _int64_column([r.seq for r in records], "seq"),
-            time_us,
-            np.array([path_ids.setdefault((r.src, r.dst), len(path_ids)) for r in records], np.int64),
-            np.array([r.direction == REQUEST for r in records], bool),
-            list(path_ids),
-        )
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -254,32 +220,6 @@ class RttTable(_Columns):
     replied: np.ndarray  # bool: reply_seq and rtt_us are set, not None
     valid: np.ndarray  # bool
     anomaly: np.ndarray  # uint8 index into ANOMALIES
-
-    @classmethod
-    def of(cls, samples: Iterable[RttSample]) -> RttTable:
-        """The samples as an RttTable, flags kept; an RttTable is returned as it is.
-
-        Raises ValueError for a value outside int64, an anomaly not in
-        ANOMALIES, or a sample with only one of reply_seq and rtt_us.
-        """
-        if isinstance(samples, cls):
-            return samples
-        samples = list(samples)
-        replied = [s.rtt_us is not None for s in samples]
-        if replied != [s.reply_seq is not None for s in samples]:
-            raise ValueError("a sample has only one of reply_seq and rtt_us")
-        try:
-            anomaly = np.array([ANOMALIES.index(s.anomaly) for s in samples], np.uint8)
-        except ValueError:
-            raise ValueError(f"an anomaly is none of {ANOMALIES}") from None
-        return cls(
-            _int64_column([s.request_seq for s in samples], "request_seq"),
-            _int64_column([s.reply_seq or 0 for s in samples], "reply_seq"),
-            _int64_column([s.rtt_us or 0 for s in samples], "rtt_us"),
-            np.array(replied, bool),
-            np.array([bool(s.valid) for s in samples], bool),
-            anomaly,
-        )
 
     def __len__(self) -> int:
         return len(self.request_seq)
@@ -411,25 +351,23 @@ class _ChunkColumns:
 def _chunk_columns(chunk: str) -> _ChunkColumns:
     """What the column read takes from a chunk that ends with "\\n".
 
-    A line is read as columns when it is ASCII with no control byte but tab
-    and the CR of its "\\r\\n", has 8 tokens, a seq of digits, a stamp of
-    digits with exactly six after its one dot, each within its window, a tail
-    (src to direction) within its window, and a direction of exactly
-    ``request`` or ``reply``. Every other line that is not blank is left to
-    parse_ping_record. A chunk that holds a line break other than "\\n" and
-    "\\r\\n" is left to it line by line, numbered as splitlines numbers them.
+    A line is read as columns when it has no control byte but tab and the
+    CR of its "\\r\\n", has 8 tokens, a seq of digits, a stamp of digits with
+    exactly six after its one dot, each within its window, a tail (src to
+    direction) within its window, and a direction of exactly ``request`` or
+    ``reply``. Every other line that is not blank is left to
+    parse_ping_record. A chunk that holds a non-ASCII character or a line
+    break other than "\\n" and "\\r\\n" is left to it line by line, numbered
+    as splitlines numbers them.
     """
-    # Positions count from the start of the padding, so every window fits.
-    # Latin-1 keeps one byte per character: a non-ASCII one reads from 0x80
-    # on, and "replace" writes a "?" for one past U+00FF, set to DEL here.
-    padded = np.concatenate((_PADDING, np.frombuffer(chunk.encode("latin-1", "replace"), np.uint8)))
     if not chunk.isascii():
-        marks = np.flatnonzero(padded == _QUESTION_MARK).tolist()
-        padded[[at for at in marks if chunk[at - len(_PADDING)] != "?"]] = _DEL
+        return _splitlines_chunk(chunk)
+    # Positions count from the start of the padding, so every window fits.
+    padded = np.concatenate((_PADDING, np.frombuffer(chunk.encode("ascii"), np.uint8)))
     if "\r" in chunk and (padded[np.flatnonzero(padded == _CR) + 1] != _LF).any():
         return _splitlines_chunk(chunk)
-    # Control bytes but tab, LF and CR, DEL and every non-ASCII character.
-    odd_byte = (padded < _SPACE) ^ (padded == _TAB) ^ (padded == _LF) ^ (padded == _CR) | (padded >= _DEL)
+    # Control bytes but tab, LF and CR, and DEL.
+    odd_byte = (padded < _SPACE) ^ (padded == _TAB) ^ (padded == _LF) ^ (padded == _CR) | (padded == _DEL)
     odd_at = np.flatnonzero(odd_byte) if odd_byte.any() else np.zeros(0, np.intp)
     if odd_at.size and any(map(chunk.__contains__, _OTHER_LINE_BREAKS)):
         return _splitlines_chunk(chunk)
@@ -541,7 +479,7 @@ def _distinct_tails(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray) ->
     return first_row, tail
 
 
-def pair_rtts(records: Iterable[PingRecord]) -> RttTable:
+def pair_rtts(records: PingLog) -> RttTable:
     """Pair each request with the earliest unconsumed reverse-path reply after it.
 
     Produces one sample per request, in request order. A reply earlier than
@@ -565,17 +503,16 @@ def pair_rtts(records: Iterable[PingRecord]) -> RttTable:
     np.minimum.accumulate takes every key's running minimum at once, each
     key's B shifted below those of the keys sorted before it.
     """
-    log = PingLog.of(records)
-    path_ids = {key: i for i, key in enumerate(log.paths)}
-    reverse = np.array([path_ids.get((dst, src), -1) for src, dst in log.paths], np.int64)
-    key = np.where(log.is_request, log.path, reverse[log.path])
+    path_ids = {key: i for i, key in enumerate(records.paths)}
+    reverse = np.array([path_ids.get((dst, src), -1) for src, dst in records.paths], np.int64)
+    key = np.where(records.is_request, records.path, reverse[records.path])
     # File order within each key.
     order = np.flatnonzero(key >= 0)
     # The narrowest dtype that holds the keys lets the stable sort run as a radix sort.
-    order = order[np.argsort(key[order].astype(np.min_scalar_type(len(log.paths))), kind="stable")]
+    order = order[np.argsort(key[order].astype(np.min_scalar_type(len(records.paths))), kind="stable")]
     key = key[order]
-    is_request = log.is_request[order]
-    counts = np.bincount(key, minlength=len(log.paths))
+    is_request = records.is_request[order]
+    counts = np.bincount(key, minlength=len(records.paths))
     ends = np.cumsum(counts)
     starts = ends - counts
     balance = np.cumsum(np.where(is_request, 1, -1))
@@ -586,28 +523,28 @@ def pair_rtts(records: Iterable[PingRecord]) -> RttTable:
     lowest_before = np.minimum(np.concatenate(([0], lowest[:-1])), 0)
     lowest_before[starts[counts > 0]] = 0
     consumed = ~is_request & (balance >= lowest_before)
-    # The j-th consumed reply of a key and the j-th request of that key, as rows of the log.
+    # The j-th consumed reply of a key and the j-th request of that key, as rows of records.
     requests = order[is_request]
     replies = order[consumed]
     reply_key = key[consumed]
-    request_counts = np.bincount(key[is_request], minlength=len(log.paths))
+    request_counts = np.bincount(key[is_request], minlength=len(records.paths))
     request_starts = np.cumsum(request_counts) - request_counts
-    reply_counts = np.bincount(reply_key, minlength=len(log.paths))
+    reply_counts = np.bincount(reply_key, minlength=len(records.paths))
     rank = np.arange(len(replies)) - (np.cumsum(reply_counts) - reply_counts)[reply_key]
     answered = requests[request_starts[reply_key] + rank]
     # Each answered request's slot in the output, which is in file order.
-    slot = (np.cumsum(log.is_request) - 1)[answered]
-    n_requests = int(np.count_nonzero(log.is_request))
+    slot = (np.cumsum(records.is_request) - 1)[answered]
+    n_requests = int(np.count_nonzero(records.is_request))
     reply_seq = np.zeros(n_requests, np.int64)
-    reply_seq[slot] = log.seq[replies]
+    reply_seq[slot] = records.seq[replies]
     rtt_us = np.zeros(n_requests, np.int64)
-    rtt_us[slot] = log.time_us[replies] - log.time_us[answered]
+    rtt_us[slot] = records.time_us[replies] - records.time_us[answered]
     replied = np.zeros(n_requests, bool)
     replied[slot] = True
     valid = replied & (rtt_us >= 0)
     anomaly = np.full(n_requests, ANOMALIES.index(MISSING_REPLY), np.uint8)
     anomaly[replied] = np.where(valid[replied], ANOMALIES.index(None), ANOMALIES.index(NEGATIVE))
-    return RttTable(log.seq[log.is_request], reply_seq, rtt_us, replied, valid, anomaly)
+    return RttTable(records.seq[records.is_request], reply_seq, rtt_us, replied, valid, anomaly)
 
 
 def check_kernel_delay(kernel_delay: float) -> None:
@@ -619,17 +556,18 @@ def check_kernel_delay(kernel_delay: float) -> None:
 def _seconds(rtt_us: np.ndarray) -> np.ndarray:
     """Each interval in seconds, rounded once like Python's ``rtt_us / US_PER_S``.
 
-    An int64 past 2**53 in magnitude is rounded on its way to a float64, so
-    such rare values are divided as Python ints instead.
+    An int64 past 2**53 is rounded on its way to a float64, so such rare
+    values are divided as Python ints instead. A valid interval is never
+    negative.
     """
     seconds = rtt_us / US_PER_S
-    wide = (rtt_us > 2**53) | (rtt_us < -(2**53))
+    wide = rtt_us > 2**53
     if wide.any():
         seconds[wide] = [rtt / US_PER_S for rtt in rtt_us[wide].tolist()]
     return seconds
 
 
-def subtract_baseline(samples: Iterable[RttSample], kernel_delay: float) -> list[float]:
+def subtract_baseline(samples: RttTable, kernel_delay: float) -> list[float]:
     """Remove the constant kernel delay from each valid sample's RTT.
 
     Returns propagation times in seconds, one per valid sample in order. A
@@ -639,11 +577,10 @@ def subtract_baseline(samples: Iterable[RttSample], kernel_delay: float) -> list
     negative or not finite.
     """
     check_kernel_delay(kernel_delay)
-    table = RttTable.of(samples)
-    return (_seconds(table.rtt_us[table.valid]) - kernel_delay).tolist()
+    return (_seconds(samples.rtt_us[samples.valid]) - kernel_delay).tolist()
 
 
-def rtt_stats(samples: Iterable[RttSample]) -> dict[str, float]:
+def rtt_stats(samples: RttTable) -> dict[str, float]:
     """Summary statistics (seconds) over the valid samples only.
 
     The median of an even count is the mean of the two middle values, and
@@ -653,8 +590,7 @@ def rtt_stats(samples: Iterable[RttSample]) -> dict[str, float]:
     Raises:
         EmptyDataError: when no sample is valid.
     """
-    table = RttTable.of(samples)
-    values = _seconds(np.sort(table.rtt_us[table.valid])).tolist()
+    values = _seconds(np.sort(samples.rtt_us[samples.valid])).tolist()
     n = len(values)
     if not n:
         raise EmptyDataError("no valid RTT samples to summarize")
@@ -708,24 +644,23 @@ def _csv(header: str, fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
     return header + "\n" + np.hstack(texts)[np.hstack(masks)].tobytes().decode("ascii")
 
 
-def rtt_csv(samples: Iterable[RttSample]) -> str:
+def rtt_csv(samples: RttTable) -> str:
     """Render samples as CSV: request_seq, reply_seq, rtt_us, valid, anomaly."""
-    table = RttTable.of(samples)
-    reply_seq, reply_used = _decimals(table.reply_seq)
-    rtt_us, rtt_used = _decimals(table.rtt_us)
+    reply_seq, reply_used = _decimals(samples.reply_seq)
+    rtt_us, rtt_used = _decimals(samples.rtt_us)
     return _csv(
         "request_seq,reply_seq,rtt_us,valid,anomaly",
         [
-            _decimals(table.request_seq),
-            (reply_seq, reply_used & table.replied[:, None]),
-            (rtt_us, rtt_used & table.replied[:, None]),
-            _choices(_CSV_BOOL, table.valid.view(np.uint8)),
-            _choices([name or "" for name in ANOMALIES], table.anomaly),
+            _decimals(samples.request_seq),
+            (reply_seq, reply_used & samples.replied[:, None]),
+            (rtt_us, rtt_used & samples.replied[:, None]),
+            _choices(_CSV_BOOL, samples.valid.view(np.uint8)),
+            _choices([name or "" for name in ANOMALIES], samples.anomaly),
         ],
     )
 
 
-def propagation_csv(samples: Iterable[RttSample], kernel_delay: float) -> str:
+def propagation_csv(samples: RttTable, kernel_delay: float) -> str:
     """Render subtract_baseline as CSV: request_seq, prop_s, flagged_negative.
 
     One row per valid sample; a negative propagation time is flagged. A
@@ -734,14 +669,13 @@ def propagation_csv(samples: Iterable[RttSample], kernel_delay: float) -> str:
     repeats a few hundred values across thousands of rows.
     """
     check_kernel_delay(kernel_delay)
-    table = RttTable.of(samples)
-    rows = np.flatnonzero(table.valid)
-    distinct, which = np.unique(table.rtt_us[rows], return_inverse=True)
+    rows = np.flatnonzero(samples.valid)
+    distinct, which = np.unique(samples.rtt_us[rows], return_inverse=True)
     # Made in the call, the formatted strings are freed before the rows are joined.
     tails = _choices(
         [f"{(prop := rtt / US_PER_S - kernel_delay):.9e},{_CSV_BOOL[prop < 0]}" for rtt in distinct.tolist()], which
     )
-    return _csv("request_seq,prop_s,flagged_negative", [_decimals(table.request_seq[rows]), tails])
+    return _csv("request_seq,prop_s,flagged_negative", [_decimals(samples.request_seq[rows]), tails])
 
 
 def stats_summary(stats: dict[str, float]) -> str:
@@ -753,15 +687,14 @@ def stats_summary(stats: dict[str, float]) -> str:
     return "\n".join(lines)
 
 
-def discrepancy_report(samples: Iterable[RttSample], warnings: list[str] | None = None) -> str:
+def discrepancy_report(samples: RttTable, warnings: list[str] | None = None) -> str:
     """List every anomalous sample and malformed line, one per line.
 
     Anomalies are reported, never silently dropped; a clean log yields the
     single line ``none``.
     """
-    table = RttTable.of(samples)
     lines = []
-    for sample in table._items(np.flatnonzero(table.anomaly)):
+    for sample in samples._items(np.flatnonzero(samples.anomaly)):
         if sample.anomaly == NEGATIVE:
             lines.append(
                 f"negative-interval\trequest_seq={sample.request_seq}"

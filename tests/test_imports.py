@@ -1,4 +1,4 @@
-"""Every module reads each name it imports.
+"""Every module, demo and tool reads each name it imports.
 
 No linter runs on this repository, so this test makes one of a linter's
 checks: an imported name the module never uses. src/gsmloc/__init__.py is
@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = [
     *sorted(p for p in (ROOT / "src" / "gsmloc").glob("*.py") if p.name != "__init__.py"),
     *sorted((ROOT / "tests").glob("*.py")),
+    *sorted((ROOT / "demos").glob("*.py")),
+    *sorted((ROOT / "tools").glob("*.py")),
 ]
 
 # (module file name, imported name) pairs imported on purpose without a use.
