@@ -59,7 +59,12 @@ interval rather than being dropped.
 
 The renderers build their text from uint8 digit matrices and a mask of
 the bytes each row keeps, and turn an interval into seconds as Python's
-``rtt_us / 10**6`` does, exactly, also past 2**53.
+``rtt_us / 10**6`` does, exactly, also past 2**53. A propagation time is
+written as ``f"{prop:.9e}"`` writes it: its ten significant digits come
+from one product with an exact power of ten, and the rare row whose
+rounding that product cannot decide (within 2**-20 of a half), a zero, or
+a value outside [1e-13, 1e10) goes to the f-string itself. The fields are
+copied into one text matrix, each freed once it is copied.
 """
 
 from __future__ import annotations
@@ -108,12 +113,14 @@ _TAIL_HASH = np.array(
     np.uint64,
 )
 _TAB, _LF, _CR, _SPACE, _ZERO, _DOT, _DEL = 0x09, 0x0A, 0x0D, 0x20, 0x30, 0x2E, 0x7F
-_COMMA, _MINUS = 0x2C, 0x2D
+_COMMA, _MINUS, _PLUS, _LOWER_E = 0x2C, 0x2D, 0x2B, 0x65
 _PADDING = np.full(_TAIL_WIDTH, _SPACE, np.uint8)
 _NO_INTS = np.zeros(0, np.int64)
 _NO_BOOLS = np.zeros(0, bool)
 # 10**k at k; the renderers count an integer's digits against it.
 _POWERS_OF_TEN = np.uint64(10) ** np.arange(20, dtype=np.uint64)
+# 10.0**k at k, each exact as a float64; 10.0**23 is not.
+_EXACT_POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])
 _COLUMNS = np.arange(_TAIL_WIDTH, dtype=np.int8)
 # What splitlines breaks an ASCII line at, but "\n" and "\r".
 _OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
@@ -598,9 +605,10 @@ def rtt_stats(samples: RttTable) -> dict[str, float]:
     return {"count": n, "min": values[0], "median": middle, "mean": math.fsum(values) / n, "max": values[-1]}
 
 
-def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decimals(values: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each int64 in decimal ASCII, right-aligned in a row of a uint8 matrix
-    with a "-" before a negative one, and a mask of each row's own bytes."""
+    with a "-" before a negative one, and a mask of each row's own bytes;
+    a row where ``keep`` is False keeps none."""
     negative = values < 0
     magnitude = values.view(np.uint64)
     magnitude = np.where(negative, np.uint64(0) - magnitude, magnitude)
@@ -608,14 +616,82 @@ def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     width = int(n_digits.max(initial=1)) + bool(negative.any())
     # Filled a byte column at a time, each one contiguous, and returned transposed.
     text = np.empty((width, len(values)), np.uint8)
-    for column in text[::-1]:
-        tens = magnitude // 10
-        column[:] = magnitude - tens * 10
-        magnitude = tens
-    text += _ZERO
+    _fill_digits(text, magnitude)
     length = n_digits + negative
     text[width - length[negative], np.flatnonzero(negative)] = _MINUS
-    return text.T, (np.arange(width)[:, None] >= width - length).T
+    used = np.arange(width)[:, None] >= width - length
+    if keep is not None:
+        used &= keep
+    return text.T, used.T
+
+
+def _fill_digits(rows: np.ndarray, magnitude: np.ndarray) -> None:
+    """Write the low decimal digits of each value, one per row of ``rows``,
+    the last row the units."""
+    for row in rows[::-1]:
+        tens = magnitude // 10
+        row[:] = magnitude - tens * 10
+        magnitude = tens
+    rows += _ZERO
+
+
+def _exponentials(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float64 as ``f"{v:.9e}"`` writes it, left-aligned in a row of a
+    uint8 matrix, and a mask of each row's own bytes.
+
+    A magnitude a in [1e-13, 1e10) has a decimal exponent e from -13 to 9
+    (the double 1e-13 is not below 10**-13), so its ten significant digits
+    are a * 10**k rounded to an integer, k = 9 - e from 0 to 22, and each
+    such 10.0**k is exact (5**22 < 2**53). With a in [2**(b-1), 2**b),
+    floor((b-1) * log10(2)) is e or e - 1; where it is e - 1 the product
+    reaches 10**10, and k drops by one. The product p = fl(a * 10**k) is
+    then rounded once and lies below 2**34, where half an ulp is 2**-20, so
+    |p - a * 10**k| <= 2**-20. Hence floor(p), plus one if p's fraction
+    exceeds 1/2, is the exactly rounded mantissa unless that fraction lies
+    within 2**-20 of 1/2, where the exact product may lie on the half
+    (which an f-string rounds to even) or on its other side. A mantissa
+    rounded up to 10**10 carries into the exponent. Those rows, zeros and
+    every value outside the range are formatted by the f-string itself.
+    """
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-13) & (magnitude < 1e10)
+    magnitude = np.where(fast, magnitude, 1.0)
+    binary = np.frexp(magnitude)[1].astype(np.int64)
+    # floor(x * log10(2)) is x * 78913 >> 18 for |x| < 1650.
+    k = np.minimum(9 - ((binary - 1) * 78913 >> 18), 22)
+    scaled = magnitude * _EXACT_POWERS_OF_TEN[k]
+    k -= scaled >= 1e10
+    scaled = magnitude * _EXACT_POWERS_OF_TEN[k]
+    mantissa = np.floor(scaled)
+    fraction = scaled - mantissa
+    fast &= np.abs(fraction - 0.5) > 2.0**-20
+    digits = mantissa.astype(np.int64) + (fraction > 0.5)
+    exponent = 9 - k
+    carry = digits == 10**10
+    digits[carry] = 10**9
+    exponent += carry
+    # "-d.ddddddddde+dd", a byte row at a time and returned transposed.
+    text = np.empty((16, len(values)), np.uint8)
+    text[0] = _MINUS
+    _fill_digits(text[1:2], digits // 10**9)
+    text[2] = _DOT
+    _fill_digits(text[3:12], digits)
+    text[12] = _LOWER_E
+    text[13] = np.where(exponent < 0, _MINUS, _PLUS)
+    _fill_digits(text[14:], np.abs(exponent))
+    text = text.T
+    used = np.ones(text.shape, bool)
+    used[:, 0] = values < 0
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        exact, exact_used = _choices([f"{v:.9e}" for v in values[slow].tolist()], np.arange(len(slow)))
+        width = max(exact.shape[1], 16)
+        text = np.pad(text, ((0, 0), (0, width - 16)))
+        used = np.pad(used, ((0, 0), (0, width - 16)))
+        text[slow, : exact.shape[1]] = exact
+        used[slow] = False
+        used[slow, : exact.shape[1]] = exact_used
+    return text, used
 
 
 def _choices(strings: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -629,31 +705,49 @@ def _choices(strings: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, np.
     return text.reshape(len(strings), width)[codes], used[codes]
 
 
-def _csv(header: str, fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
-    """The header line, then one line per row of the fields, joined by commas.
+def _join(fields: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The fields side by side, each followed by a comma, as one text matrix
+    and mask.
 
     A field is a uint8 text matrix with a row per line and a mask of the
-    bytes of each row that are its own, as _decimals and _choices make them.
+    bytes of each row that are its own, as _decimals, _exponentials and
+    _choices make them. Each field is copied and then taken out of
+    ``fields``, so that where the list holds the only reference, the field
+    is freed once it is copied.
     """
     n = len(fields[0][0])
-    texts, masks = [], []
-    for text, used in fields:
-        texts += [text, np.broadcast_to(np.uint8(_COMMA), (n, 1))]
-        masks += [used, np.broadcast_to(True, (n, 1))]
-    texts[-1] = np.broadcast_to(np.uint8(_LF), (n, 1))
-    return header + "\n" + np.hstack(texts)[np.hstack(masks)].tobytes().decode("ascii")
+    text = np.empty((n, sum(field_text.shape[1] + 1 for field_text, _ in fields)), np.uint8)
+    used = np.ones(text.shape, bool)
+    start = 0
+    fields.reverse()
+    while fields:
+        field_text, field_used = fields.pop()
+        end = start + field_text.shape[1]
+        text[:, start:end] = field_text
+        used[:, start:end] = field_used
+        text[:, end] = _COMMA
+        start = end + 1
+    return text, used
+
+
+def _csv(header: str, fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
+    """The header line, then one line per row of the fields, joined by
+    commas (see _join)."""
+    text, used = _join(fields)
+    text[:, -1] = _LF
+    kept = text[used]
+    del text, used
+    return header + "\n" + kept.tobytes().decode("ascii")
 
 
 def rtt_csv(samples: RttTable) -> str:
     """Render samples as CSV: request_seq, reply_seq, rtt_us, valid, anomaly."""
-    reply_seq, reply_used = _decimals(samples.reply_seq)
-    rtt_us, rtt_used = _decimals(samples.rtt_us)
     return _csv(
         "request_seq,reply_seq,rtt_us,valid,anomaly",
         [
             _decimals(samples.request_seq),
-            (reply_seq, reply_used & samples.replied[:, None]),
-            (rtt_us, rtt_used & samples.replied[:, None]),
+            _decimals(samples.reply_seq, samples.replied),
+            _decimals(samples.rtt_us, samples.replied),
             _choices(_CSV_BOOL, samples.valid.view(np.uint8)),
             _choices([name or "" for name in ANOMALIES], samples.anomaly),
         ],
@@ -664,18 +758,20 @@ def propagation_csv(samples: RttTable, kernel_delay: float) -> str:
     """Render subtract_baseline as CSV: request_seq, prop_s, flagged_negative.
 
     One row per valid sample; a negative propagation time is flagged. A
-    row's text after request_seq depends only on the sample's rtt_us, so it
-    is formatted once per distinct rtt_us, as a Python int: a clean capture
-    repeats a few hundred values across thousands of rows.
+    row's text after request_seq depends only on the sample's rtt_us, so
+    each distinct rtt_us is turned into seconds once, exactly as Python's
+    ``rtt_us / 10**6 - kernel_delay`` (see _seconds), and its prop_s written
+    once by _exponentials, which gives ``f"{prop:.9e}"`` byte for byte.
     """
     check_kernel_delay(kernel_delay)
     rows = np.flatnonzero(samples.valid)
     distinct, which = np.unique(samples.rtt_us[rows], return_inverse=True)
-    # Made in the call, the formatted strings are freed before the rows are joined.
-    tails = _choices(
-        [f"{(prop := rtt / US_PER_S - kernel_delay):.9e},{_CSV_BOOL[prop < 0]}" for rtt in distinct.tolist()], which
-    )
-    return _csv("request_seq,prop_s,flagged_negative", [_decimals(samples.request_seq[rows]), tails])
+    prop = _seconds(distinct) - kernel_delay
+    # Each distinct value's prop_s and flag, without the comma after the flag.
+    tail_text, tail_used = _join([_exponentials(prop), _choices(_CSV_BOOL, (prop < 0).view(np.uint8))])
+    tail = (tail_text[which, :-1], tail_used[which, :-1])
+    del tail_text, tail_used
+    return _csv("request_seq,prop_s,flagged_negative", [_decimals(samples.request_seq[rows]), tail])
 
 
 def stats_summary(stats: dict[str, float]) -> str:

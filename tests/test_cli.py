@@ -708,3 +708,30 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, command):
     assert captured.out == ""
     assert re.fullmatch(rf"error: cannot read {re.escape(str(path))}: 'utf-8' codec can't decode [^\n]*\n", captured.err)
     assert not out.exists()
+
+
+READ_INPUTS = {
+    "lf": b"a\nb\n",
+    "crlf": b"a\r\nb\r\n",
+    "lone-cr": b"a\rb\r",
+    "mixed": b"a\r\nb\rc\nd\r\r\ne\n\r",
+    "bom": b"\xef\xbb\xbfa\r\nb",
+    "non-ascii": "²  x\r\né\r".encode(),
+    "empty": b"",
+    "bad-byte-late": b"x\r\n" * 5000 + b"\xff\r\n",
+    "truncated": b"a\r\n\xc3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_INPUTS))
+def test_read_input_reads_like_read_text(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(READ_INPUTS[name])
+    try:
+        expected = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        with pytest.raises(cli.ConfigError) as raised:
+            cli._read_input(path)
+        assert str(raised.value) == f"cannot read {path}: {exc}"
+    else:
+        assert cli._read_input(path) == expected

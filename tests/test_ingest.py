@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from warnings import catch_warnings, simplefilter
 
@@ -243,6 +244,50 @@ def samples_from_us(values_us):
         sent = max(-rtt_us, 0)
         rows += [(i, sent, "10.0.0.1", "10.0.0.2", REQUEST), (i + 1, sent + rtt_us, "10.0.0.2", "10.0.0.1", REPLY)]
     return pair_rtts(parse_ping_log("".join(format_ping_record(PingRecord(*row)) + "\n" for row in rows)))
+
+
+# _exponentials' fast path takes magnitudes in [1e-13, 1e10), exponents -13 to 9;
+# the draws below reach three decades past each end.
+EXPONENTS = range(-16, 13)
+
+
+def steps(value, ulps):
+    """The double ``ulps`` steps of one ulp above (below, if negative) ``value``."""
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, math.inf if ulps > 0 else -math.inf))
+    return value
+
+
+def nearest_halfway(e, m):
+    """The double nearest the point halfway between the 10-digit mantissas m
+    and m + 1 at decimal exponent e: (2m + 1) / 2 * 10**(e - 9)."""
+    return float(Fraction(2 * m + 1, 2) * Fraction(10) ** (e - 9))
+
+
+@st.composite
+def exponential_values(draw):
+    """A double of one of four kinds: any finite one, subnormals included;
+    a zero; one within 2 ulps of a power of ten; one within 2 ulps of the
+    double nearest a halfway point of the tenth significant digit."""
+    kind = draw(st.sampled_from(["any", "zero", "power", "halfway"]))
+    if kind == "any":
+        return draw(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+    if kind == "zero":
+        return draw(st.sampled_from([0.0, -0.0]))
+    e = draw(st.sampled_from(EXPONENTS))
+    if kind == "power":
+        center = float(Fraction(10) ** e)
+    else:
+        center = nearest_halfway(e, draw(st.integers(10**9, 10**10 - 1)))
+    return draw(st.sampled_from([1.0, -1.0])) * steps(center, draw(st.integers(-2, 2)))
+
+
+def exponential_texts(values):
+    """_exponentials' text of each value, read back through its mask, with every warning an error."""
+    with catch_warnings():
+        simplefilter("error")
+        text, used = ingest._exponentials(np.array(values, np.float64))
+    return [row[mask].tobytes().decode("ascii") for row, mask in zip(text, used)]
 
 
 class TestParsing:
@@ -674,6 +719,43 @@ class TestRenderers:
         assert subtract_baseline(samples, 0.0005) == rendering_oracle.subtract_baseline(expected, 0.0005)
         assert propagation_csv(samples, 0.0005) == rendering_oracle.propagation_csv(expected, 0.0005)
         assert rtt_csv(samples) == rendering_oracle.rtt_csv(expected)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(exponential_values(), min_size=1, max_size=12))
+    def test_exponentials_write_like_the_f_string(self, values):
+        assert exponential_texts(values) == [f"{v:.9e}" for v in values]
+
+    def test_exponentials_at_the_edges_of_every_decade(self):
+        # Seeded: 200 halfway points per decimal exponent and every double
+        # within 2 ulps of each, plus every power of ten and its neighbours.
+        rng = np.random.default_rng(18)
+        centers = [float(Fraction(10) ** e) for e in EXPONENTS]
+        for e in EXPONENTS:
+            centers += [nearest_halfway(e, m) for m in rng.integers(10**9, 10**10, 200).tolist()]
+        values = [sign * steps(c, k) for c in centers for k in range(-2, 3) for sign in (1.0, -1.0)]
+        values += [9999999999.5, 1234567890.5, 0.5e-13, 1e-13, 1e10, math.inf, -math.inf, math.nan, 5e-324, 1.7e308]
+        assert exponential_texts(values) == [f"{v:.9e}" for v in values]
+
+    def test_exponentials_scale_only_by_exact_powers_of_ten(self):
+        # The fast path's error bound needs a * 10**k rounded once, so every
+        # scale factor must be 10**k exactly; the double 1e-13, its range's
+        # lowest magnitude, is not below 10**-13 and needs k = 22 at most.
+        powers = ingest._EXACT_POWERS_OF_TEN
+        assert [Fraction(p) for p in powers.tolist()] == [Fraction(10**k) for k in range(23)]
+        assert Fraction(1e-13) >= Fraction(1, 10**13)
+
+    @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+    def test_propagation_nearly_cancels(self, ulps):
+        # Kernel delays within a few ulps of rtt / 10**6, so prop_s is 0 or a
+        # few ulps of the RTT, far below the fast path's range.
+        values = [690, 567, 1, 999_999, 2**53 + 1]
+        samples = samples_from_us(values)
+        expected = list(samples)
+        for rtt in values:
+            kernel_delay = steps(rtt / 10**6, ulps)
+            text = propagation_csv(samples, kernel_delay)
+            assert text == rendering_oracle.propagation_csv(expected, kernel_delay)
+        assert "0.000000000e+00,false" in propagation_csv(samples, 567 / 10**6)
 
     @settings(max_examples=400, deadline=None)
     @given(capture_texts(), st.one_of(st.just(0.0), st.floats(0, 10)))
