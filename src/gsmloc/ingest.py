@@ -657,7 +657,7 @@ def _exponentials(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fast = (magnitude >= 1e-13) & (magnitude < 1e10)
     magnitude = np.where(fast, magnitude, 1.0)
     binary = np.frexp(magnitude)[1].astype(np.int64)
-    # floor(x * log10(2)) is x * 78913 >> 18 for |x| < 1650.
+    # floor(x * log10(2)) is x * 78913 >> 18 for every |x| up to 1650 (Ryu).
     k = np.minimum(9 - ((binary - 1) * 78913 >> 18), 22)
     scaled = magnitude * _EXACT_POWERS_OF_TEN[k]
     k -= scaled >= 1e10

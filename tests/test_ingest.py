@@ -747,7 +747,7 @@ class TestRenderers:
     @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
     def test_propagation_nearly_cancels(self, ulps):
         # Kernel delays within a few ulps of rtt / 10**6, so prop_s is 0 or a
-        # few ulps of the RTT, far below the fast path's range.
+        # few ulps of the RTT: below the fast path's range but for 2**53 + 1 us.
         values = [690, 567, 1, 999_999, 2**53 + 1]
         samples = samples_from_us(values)
         expected = list(samples)
