@@ -112,22 +112,26 @@ def config_digest(payload) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _read_input(path: Path) -> str:
-    """The file's text, with "\\r\\n" and a lone "\\r" read as "\\n", as
-    ``Path.read_text`` reads them. A file that is not UTF-8 is rejected, not
-    decoded with replacements: analyze-log digests the decoded text.
+def _read_input(path: Path) -> bytes:
+    """The file's bytes, with "\\r\\n" and a lone "\\r" read as "\\n": the
+    UTF-8 encoding of the text ``Path.read_text`` reads. A file that is not
+    UTF-8 is rejected, not decoded with replacements: analyze-log digests
+    these bytes, and the other commands decode them.
 
-    The bytes are decoded in one call and the line ends translated only when
-    a "\\r" occurs: read_text's newline decoder costs several times more on a
-    capture of a few megabytes.
+    Only bytes that are not all ASCII are decoded, to check them, and the
+    line ends are translated only when a "\\r" occurs. A "\\r" is never
+    part of a multi-byte UTF-8 character, so they translate on the bytes as
+    on the text.
     """
     try:
-        text = path.read_bytes().decode("utf-8")
+        data = path.read_bytes()
+        if not data.isascii():
+            data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 def _integer(mapping: dict, key: str, default: int) -> int:
@@ -183,7 +187,8 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
     hex_cell_layout's and ScenarioConfig's to check; their errors reach the
     caller as ConfigError.
     """
-    text = _read_input(path)
+    # Decoded first: json.loads would drop a UTF-8 BOM from bytes, and rejects one in text.
+    text = _read_input(path).decode("utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -272,7 +277,7 @@ def _load_locate_rows(path: Path) -> list[tuple[int, float, float, float, float]
     id, or a repeated id.
     """
     rows, seen = [], set()
-    for line in _read_input(path).splitlines():
+    for line in _read_input(path).decode("utf-8").splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -312,9 +317,9 @@ def cmd_analyze_log(args) -> Run:
             check_kernel_delay(args.baseline)
         except ValueError as exc:
             raise ConfigError(f"--baseline: {exc}") from exc
-    text = _read_input(args.log)
+    data = _read_input(args.log)
     warnings: list[str] = []
-    records = parse_ping_log(text, warnings)
+    records = parse_ping_log(data, warnings)
     samples = pair_rtts(records)
     if not samples.valid.any():
         raise EmptyDataError("no valid request/reply pairs in log")
@@ -328,7 +333,7 @@ def cmd_analyze_log(args) -> Run:
         files["propagation.csv"] = propagation_csv(samples, args.baseline)
 
     digest_payload = {
-        "log_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "log_sha256": hashlib.sha256(data).hexdigest(),
         "baseline": args.baseline,
     }
     return Run(digest_payload, files, files["stats.txt"])

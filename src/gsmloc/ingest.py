@@ -22,29 +22,34 @@ a list of the same items. Every seq fits an int64 and every stamp lies from
 ``parse_ping_record`` calls a line with a value past either bound
 malformed.
 
-``parse_ping_log`` reads the text in chunks of about ``CHUNK_CHARS``
-characters, each ending at a "\\n", and reads each chunk's bytes as numpy
-columns. Separator transitions give the token starts and ends, and the
-newlines the lines; 8n tokens, each line's first after its start and each
-eighth before its end, show that every line has 8 tokens. Seq and stamp
-are read from right-aligned windows of up to 18 and 19 bytes, checked digit
-by digit (a stamp needs exactly six digits after its one dot) and summed
-against a place-value table. Each line's tail, src to direction, is
-deduplicated by a hash of its bytes that is checked byte for byte, and
-each distinct tail is split once for its (src, dst) and its direction,
-which must be exactly ``request`` or ``reply``. A line the columns cannot
-take goes alone through ``parse_ping_record``, which decides it exactly as
-for a single line and is the only source of malformed-line messages: a
-token count other than 0 or 8, a field that fails or runs past its
-window, and any control byte but tab and the CR of "\\r\\n". Its records go
-into the chunk's columns with ``np.insert``. A chunk holding any non-ASCII
-character ("²" is a digit to ``str.isdigit`` but not to ``int``, and
-"\\xa0" splits a token) or any other line break goes line by line through
-``splitlines`` and ``parse_ping_record``, whose numbering the messages use;
-such a chunk parses several times slower. Path ids follow the first
-appearance of each (src, dst) over both kinds of line, and a chunk's arrays
-keep the memory held at once to a chunk's worth, where a whole-text
-``split`` would hold some seven times the text.
+``parse_ping_log`` reads a capture's UTF-8 bytes (text is encoded once,
+then read the same way) in chunks of about ``CHUNK_CHARS`` bytes, each
+ending at a "\\n", and reads each chunk's bytes, copied after a padding,
+as numpy columns. Separator transitions give the token starts and ends,
+and the newlines the lines; 8n tokens, each line's first after its start
+and each eighth before its end, show that every line has 8 tokens. Seq and
+stamp are read from an unaligned little-endian uint64 view of the chunk,
+8 bytes a word from each token's end, the bytes before the token read as
+"0": each word is checked to be 8 digits and folded to its value in three
+multiply-shifts, as simdjson does. A seq takes up to 18 digits and a stamp
+up to 12 whole digits, its dot and exactly six after it, so every value
+fits an int64. Each line's tail, src to direction, is deduplicated by a
+hash of its bytes that is checked byte for byte, and each distinct tail is
+split once for its (src, dst) and its direction, which must be exactly
+``request`` or ``reply``. A line the columns cannot take goes alone through
+``parse_ping_record``, which decides it exactly as for a single line and
+is the only source of malformed-line messages: a token count other than 0
+or 8, a field that fails or runs past its window, and any control byte but
+tab and the CR of "\\r\\n". Its records go into the chunk's columns with
+``np.insert``. A chunk holding any non-ASCII byte ("²" is a digit to
+``str.isdigit`` but not to ``int``, and "\\xa0" splits a token), a lone
+"\\r" or any other line break is decoded and goes line by line through
+``splitlines`` and ``parse_ping_record``, whose numbering the messages
+use; such a chunk parses several times slower. A "\\n" never falls inside
+a UTF-8 character, so each chunk decodes on its own. Path ids follow the
+first appearance of each (src, dst) over both kinds of line, and a chunk's
+arrays keep the memory held at once to a chunk's worth, where a
+whole-text ``split`` would hold some seven times the text.
 
 Each request pairs with the earliest unconsumed reply after it whose
 (src, dst) is the reverse of its own; the exports carry no ICMP
@@ -82,27 +87,17 @@ from .errors import EmptyDataError
 
 US_PER_S = 10**6
 
-# parse_ping_log reads a trace in chunks of about this many characters, so
-# that its byte columns stay a chunk's worth and not the whole text's.
+# parse_ping_log reads a trace in chunks of about this many bytes (the
+# characters of an ASCII trace), so that its byte columns stay a chunk's
+# worth and not the whole capture's.
 CHUNK_CHARS = 1 << 18
-
-
-def _place_values(width: int, dot: int | None = None) -> np.ndarray:
-    """The place value of each byte of a number right-aligned in a window of
-    ``width`` bytes, 0 at ``dot``; its last w entries serve a w-byte window."""
-    digits = [j for j in range(width) if j != dot]
-    places = np.zeros(width, np.int64)
-    places[digits] = [10**k for k in reversed(range(len(digits)))]
-    return places
-
 
 # The column read takes a seq of up to 18 digits and a stamp of up to 12
 # whole digits, so that each value fits an int64, and a tail (src to
 # direction) of up to 64 bytes; a longer one leaves its line to
 # parse_ping_record. A stamp has its dot 7 bytes from its end.
-_SEQ_PLACES = _place_values(18)
-_STAMP_PLACES = _place_values(19, dot=19 - 7)
-_STAMP_MIN_WIDTH = 8
+_SEQ_DIGITS = 18
+_STAMP_WHOLE_DIGITS = 12
 _TAIL_WIDTH = 64
 # Odd multipliers of a tail's 64-bit words; tails of equal hash are compared byte for byte.
 _TAIL_HASH = np.array(
@@ -123,7 +118,17 @@ _POWERS_OF_TEN = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 _EXACT_POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])
 _COLUMNS = np.arange(_TAIL_WIDTH, dtype=np.int8)
 # What splitlines breaks an ASCII line at, but "\n" and "\r".
-_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+_OTHER_LINE_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
+# Eight bytes read as a little-endian uint64 word, the first byte lowest
+# (see _eight_digits). _HIGH_BYTES[n] keeps a word's last n bytes.
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
+_THREES = np.uint64(0x3333333333333333)
+_PAIRS = np.uint64(0x000000FF000000FF)
+_HUNDRED_AND_MILLION = np.uint64(100 + (10**6 << 32))
+_ONE_AND_TEN_THOUSAND = np.uint64(1 + (10**4 << 32))
+_HIGH_BYTES = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], np.uint64)
 
 REQUEST = "request"
 REPLY = "reply"
@@ -292,17 +297,21 @@ def format_ping_record(record: PingRecord) -> str:
     )
 
 
-def parse_ping_log(text: str, warnings: list[str] | None = None) -> PingLog:
+def parse_ping_log(capture: str | bytes, warnings: list[str] | None = None) -> PingLog:
     """Parse a whole trace, one record per well-formed line, order preserved.
 
-    Malformed lines are skipped, never fatal; pass a list as ``warnings``
-    to collect a message per skipped line. Blank lines are ignored.
+    The trace is text or its UTF-8 bytes, which parse alike: text is
+    encoded once and then read as bytes. Malformed lines are skipped, never
+    fatal; pass a list as ``warnings`` to collect a message per skipped
+    line. Blank lines are ignored.
     """
+    if isinstance(capture, str):
+        capture = capture.encode("utf-8", "surrogatepass")
     # Each column's pieces, a chunk's worth each, joined at the end.
     parts: tuple[list[np.ndarray], ...] = ([_NO_INTS], [_NO_INTS], [_NO_INTS], [_NO_BOOLS])
     path_ids: dict[tuple[str, str], int] = {}
     lines_before = 0
-    for chunk in _chunks(text):
+    for chunk in _chunks(capture):
         columns = _chunk_columns(chunk)
         records = []
         for index, line in columns.odd_lines:
@@ -330,14 +339,19 @@ def parse_ping_log(text: str, warnings: list[str] | None = None) -> PingLog:
     return PingLog(*map(np.concatenate, parts), list(path_ids))
 
 
-def _chunks(text: str) -> Iterator[str]:
-    """The text in pieces of about CHUNK_CHARS characters, each ending at a
-    "\\n"; a last piece without one gets one, which splitlines ignores."""
+def _chunks(capture: bytes) -> Iterator[bytes]:
+    """The bytes in pieces of about CHUNK_CHARS, each ending at a "\\n"; a
+    last piece without one gets one, which splitlines ignores. A "\\n" never
+    falls inside a UTF-8 character, so each piece decodes on its own."""
     start = 0
-    while start < len(text):
-        end = text.rfind("\n", start, start + CHUNK_CHARS) + 1 or text.find("\n", start + CHUNK_CHARS) + 1 or len(text)
-        chunk = text[start:end]
-        yield chunk if chunk.endswith("\n") else chunk + "\n"
+    while start < len(capture):
+        end = (
+            capture.rfind(b"\n", start, start + CHUNK_CHARS) + 1
+            or capture.find(b"\n", start + CHUNK_CHARS) + 1
+            or len(capture)
+        )
+        chunk = capture[start:end]
+        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
         start = end
 
 
@@ -355,7 +369,7 @@ class _ChunkColumns:
     odd_lines: list[tuple[int, str]]  # every other line that is not blank, for parse_ping_record
 
 
-def _chunk_columns(chunk: str) -> _ChunkColumns:
+def _chunk_columns(chunk: bytes) -> _ChunkColumns:
     """What the column read takes from a chunk that ends with "\\n".
 
     A line is read as columns when it has no control byte but tab and the
@@ -363,27 +377,31 @@ def _chunk_columns(chunk: str) -> _ChunkColumns:
     exactly six after its one dot, each within its window, a tail (src to
     direction) within its window, and a direction of exactly ``request`` or
     ``reply``. Every other line that is not blank is left to
-    parse_ping_record. A chunk that holds a non-ASCII character or a line
-    break other than "\\n" and "\\r\\n" is left to it line by line, numbered
-    as splitlines numbers them.
+    parse_ping_record. A chunk that holds a non-ASCII byte or a line break
+    other than "\\n" and "\\r\\n" is left to it line by line, numbered as
+    splitlines numbers them.
     """
     if not chunk.isascii():
         return _splitlines_chunk(chunk)
     # Positions count from the start of the padding, so every window fits.
-    padded = np.concatenate((_PADDING, np.frombuffer(chunk.encode("ascii"), np.uint8)))
-    if "\r" in chunk and (padded[np.flatnonzero(padded == _CR) + 1] != _LF).any():
-        return _splitlines_chunk(chunk)
-    # Control bytes but tab, LF and CR, and DEL.
-    odd_byte = (padded < _SPACE) ^ (padded == _TAB) ^ (padded == _LF) ^ (padded == _CR) | (padded == _DEL)
-    odd_at = np.flatnonzero(odd_byte) if odd_byte.any() else np.zeros(0, np.intp)
-    if odd_at.size and any(map(chunk.__contains__, _OTHER_LINE_BREAKS)):
+    padded = np.concatenate((_PADDING, np.frombuffer(chunk, np.uint8)))
+    if b"\r" in chunk and (padded[np.flatnonzero(padded == _CR) + 1] != _LF).any():
         return _splitlines_chunk(chunk)
     newlines = np.flatnonzero(padded == _LF)
     n_lines = len(newlines)
+    # Control bytes but tab, LF and CR, and DEL: counted first, as a chunk seldom holds one.
+    n_usual = n_lines + np.count_nonzero(padded == _TAB) + np.count_nonzero(padded == _CR)
+    if np.count_nonzero(padded < _SPACE) > n_usual or _DEL in chunk:
+        if any(map(chunk.__contains__, _OTHER_LINE_BREAKS)):
+            return _splitlines_chunk(chunk)
+        odd_at = np.flatnonzero((padded < _SPACE) ^ (padded == _TAB) ^ (padded == _LF) ^ (padded == _CR) | (padded == _DEL))
+    else:
+        odd_at = np.zeros(0, np.intp)
     line_before = np.concatenate(([len(_PADDING) - 1], newlines[:-1]))
     in_token = padded > _SPACE
     # The padding starts with a separator and the chunk ends with one, so token edges alternate.
-    edges = np.flatnonzero(in_token[1:] != in_token[:-1]) + 1
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
+    edges += 1
     starts = edges[0::2]
     ends = edges[1::2]
     # 8n tokens with each line's first after its start and each eighth before
@@ -399,15 +417,18 @@ def _chunk_columns(chunk: str) -> _ChunkColumns:
     has_odd_byte[np.searchsorted(newlines, odd_at)] = True
     lines = np.flatnonzero((counts == 8) & ~has_odd_byte)
     token = first_token[lines]
-    seq, seq_ok = _read_digits(padded, starts[token], ends[token], _SEQ_PLACES)
-    time_us, stamp_ok = _read_digits(padded, starts[token + 1], ends[token + 1], _STAMP_PLACES, _STAMP_MIN_WIDTH)
+    words = _words(padded)
+    seq, seq_ok = _read_number(words, starts[token], ends[token], _SEQ_DIGITS)
+    time_us, stamp_ok = _read_stamp(words, starts[token + 1], ends[token + 1])
     tail_start = starts[token + 2]
     tail_end = ends[token + 7]
     keep = np.flatnonzero(seq_ok & stamp_ok & (tail_end - tail_start <= _TAIL_WIDTH))
-    lines, seq, time_us, tail_start, tail_end = lines[keep], seq[keep], time_us[keep], tail_start[keep], tail_end[keep]
+    # Every kept value is below 10**18, so its uint64 reads as the same int64.
+    seq, time_us = seq[keep].view(np.int64), time_us[keep].view(np.int64)
+    lines, tail_start, tail_end = lines[keep], tail_start[keep], tail_end[keep]
     first_row, tail = _distinct_tails(padded, tail_start, tail_end)
     tails = [
-        chunk[start - len(_PADDING) : end - len(_PADDING)].split()
+        chunk[start - len(_PADDING) : end - len(_PADDING)].decode("ascii").split()
         for start, end in zip(tail_start[first_row].tolist(), tail_end[first_row].tolist())
     ]
     known = np.array([tokens[-1] in (REQUEST, REPLY) for tokens in tails], bool)
@@ -423,7 +444,7 @@ def _chunk_columns(chunk: str) -> _ChunkColumns:
     odd[lines] = False
     odd &= (counts != 0) | has_odd_byte
     odd_lines = [
-        (index, chunk[start + 1 - len(_PADDING) : end - len(_PADDING)].removesuffix("\r"))
+        (index, chunk[start + 1 - len(_PADDING) : end - len(_PADDING)].removesuffix(b"\r").decode("ascii"))
         for index, start, end in zip(
             np.flatnonzero(odd).tolist(), line_before[odd].tolist(), newlines[odd].tolist()
         )
@@ -431,10 +452,73 @@ def _chunk_columns(chunk: str) -> _ChunkColumns:
     return _ChunkColumns(n_lines, lines, seq, time_us, tail, tail_firsts, tail_is_request, odd_lines)
 
 
-def _splitlines_chunk(chunk: str) -> _ChunkColumns:
+def _splitlines_chunk(chunk: bytes) -> _ChunkColumns:
     """A chunk with no column rows: every line is left to parse_ping_record."""
-    lines = chunk.splitlines()
+    lines = chunk.decode("utf-8", "surrogatepass").splitlines()
     return _ChunkColumns(len(lines), _NO_INTS, _NO_INTS, _NO_INTS, _NO_INTS, [], _NO_BOOLS, list(enumerate(lines)))
+
+
+def _words(padded: np.ndarray) -> np.ndarray:
+    """The 8 bytes from each position of ``padded`` on as a little-endian
+    uint64: an unaligned view of the bytes, not a copy."""
+    return np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
+
+
+def _eight_digits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The number each word's 8 bytes spell, first byte first, and which
+    words are 8 ASCII digits.
+
+    A byte is a digit when its high nibble is 3 and that of the byte plus 6
+    is 3 too; an ASCII byte plus 6 never carries into the next byte. The
+    digits are folded in three multiplications, as simdjson does (Langdale
+    & Lemire, VLDB J. 2019): each byte becomes 10 times itself plus the
+    next byte, so that bytes 0, 2, 4 and 6 hold the four 2-digit pairs, and
+    two products weigh those by 10**6, 10**4, 100 and 1 and sum them in the
+    word's high half. The arithmetic wraps as uint64 arrays do, silently.
+    """
+    ok = ((words & _HIGH_NIBBLES) | ((words + _SIXES) & _HIGH_NIBBLES) >> 4) == _THREES
+    words = words - _ASCII_ZEROS
+    words = words * 10 + (words >> 8)
+    words = ((words & _PAIRS) * _HUNDRED_AND_MILLION + (words >> 16 & _PAIRS) * _ONE_AND_TEN_THOUSAND) >> 32
+    return words, ok
+
+
+def _own_bytes(words: np.ndarray, n_own: np.ndarray | int) -> np.ndarray:
+    """Each word with all but its last ``n_own`` bytes read as "0"."""
+    keep = _HIGH_BYTES[n_own]
+    return words & keep | _ASCII_ZEROS & ~keep
+
+
+def _read_number(
+    words: np.ndarray, starts: np.ndarray, ends: np.ndarray, max_digits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each token read as a decimal number of 1 to ``max_digits`` digits,
+    as uint64, and which tokens are one.
+
+    The token is read a word (see _words) at a time from its end, each
+    word's bytes before the token read as "0", and only as many words as
+    the widest token needs. The value of a token that is no number is
+    meaningless.
+    """
+    widths = ends - starts
+    ok = (widths >= 1) & (widths <= max_digits)
+    value = np.zeros(len(ends), np.uint64)
+    for k in range(0, min(int(widths.max(initial=0)), max_digits), 8):
+        digits, word_ok = _eight_digits(_own_bytes(words[ends - k - 8], np.clip(widths - k, 0, 8)))
+        ok &= word_ok
+        value += digits * _POWERS_OF_TEN[k]
+    return value, ok
+
+
+def _read_stamp(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each token read as a stamp, 1 to 12 digits, a "." and 6 digits, in
+    microseconds as uint64, and which tokens are one (see _read_number)."""
+    # The last word holds the last whole digit, the dot and the six fractional digits.
+    last = words[ends - 8]
+    fraction, ok = _eight_digits(_own_bytes(last, 6))
+    ok &= (last >> 8 & 0xFF) == _DOT
+    whole, whole_ok = _read_number(words, starts, ends - 7, _STAMP_WHOLE_DIGITS)
+    return whole * US_PER_S + fraction, ok & whole_ok
 
 
 def _window(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -442,30 +526,6 @@ def _window(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int
     window = sliding_window_view(padded, width)[ends - width]
     inside = _COLUMNS[:width] >= np.maximum(width - (ends - starts), 0).astype(np.int8)[:, None]
     return window, inside
-
-
-def _read_digits(
-    padded: np.ndarray, starts: np.ndarray, ends: np.ndarray, places: np.ndarray, min_width: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """The value of each token read as a number, and which tokens are one.
-
-    A token is one when it is ``min_width`` to ``len(places)`` bytes wide
-    and, right-aligned against ``places``, has a digit at each place value
-    and a "." at each 0 (see _place_values); a stamp's value read so is its
-    microsecond count. The window is only as wide as the widest token.
-    """
-    widths = ends - starts
-    width = int(np.clip(widths.max(initial=0), min_width, len(places)))
-    places = places[-width:]
-    window, inside = _window(padded, starts, ends, width)
-    digits = window - np.uint8(_ZERO)  # a byte that is no digit reads above 9
-    ok = (widths >= min_width) & (widths <= width)
-    if 0 in places:
-        ok &= window[:, places == 0].ravel() == _DOT
-    not_digit = (digits > 9) & inside & (places > 0)
-    if not_digit.any():
-        ok &= ~not_digit.any(axis=1)
-    return (digits * inside) @ places, ok
 
 
 def _distinct_tails(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -627,8 +628,9 @@ class TestAnalyzeLog:
         spy("pair_rtts")
         log = golden_dir.parent / "odd_lines_capture.log"
         assert main(["analyze-log", str(log), "-o", str(tmp_path / "out")]) == 0
-        [((text, warnings), records)] = results["parse_ping_log"]
+        [((data, warnings), records)] = results["parse_ping_log"]
         [(_, samples)] = results["pair_rtts"]
+        text = data.decode()
         assert len(records) == len(oracle_parse_ping_log(text)) == 23
         assert len(records) + len(warnings) == sum(1 for line in text.splitlines() if line.strip())
         flags = [(s.valid, s.anomaly) for s in samples]
@@ -734,4 +736,27 @@ def test_read_input_reads_like_read_text(tmp_path, name):
             cli._read_input(path)
         assert str(raised.value) == f"cannot read {path}: {exc}"
     else:
-        assert cli._read_input(path) == expected
+        assert cli._read_input(path) == expected.encode()
+
+
+# A request and its reply, so that analyze-log writes a manifest.
+PAIR = "1\t1.000000\t10.0.0.1\t10.0.0.2\tICMP\tEcho (ping) request\n2\t1.000700\t10.0.0.2\t10.0.0.1\tICMP\tEcho (ping) reply\n"
+DIGEST_CAPTURES = {
+    "lf": PAIR.encode(),
+    "crlf": PAIR.replace("\n", "\r\n").encode(),
+    "lone-cr": PAIR.replace("\n", "\r").encode(),
+    "bom": ("\ufeff\n" + PAIR).encode(),
+    "non-ascii": ("h\xf4st \u2028 \xb2\r\n" + PAIR).encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CAPTURES))
+def test_analyze_log_digests_the_text_read_text_reads(tmp_path, name):
+    # The digest is defined on the text; analyze-log hashes the bytes it parses.
+    path = tmp_path / "capture.log"
+    path.write_bytes(DIGEST_CAPTURES[name])
+    out = tmp_path / "out"
+    assert main(["analyze-log", str(path), "-o", str(out)]) == 0
+    log_sha256 = hashlib.sha256(path.read_text(encoding="utf-8").encode()).hexdigest()
+    manifest = json.loads((out / "analyze_log_manifest.json").read_text())
+    assert manifest["config_digest"] == cli.config_digest({"log_sha256": log_sha256, "baseline": None})

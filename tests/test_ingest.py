@@ -173,7 +173,7 @@ def wide_line(draw):
 
 @st.composite
 def long_trace_texts(draw):
-    """A chunk size of a few hundred characters and a text of several chunks:
+    """A chunk size of a few hundred bytes and a text of several chunks:
     well-formed lines, with a few runs of odd ones from trace_line(),
     shifted_line() or wide_line() anywhere. The first chunk ends inside the
     first run. Lines end in "\\n", mostly, or "\\r\\n" or another line break,
@@ -194,9 +194,56 @@ def long_trace_texts(draw):
         lines[index : index + len(run)] = run
     separator = draw(st.sampled_from(["\n"] * 4 + ["\r\n"] * 2 + LINE_SEPARATORS))
     text = separator.join(lines) + draw(st.sampled_from([separator, ""]))
-    # Up to and with the separator after the first run's first line.
-    chunk_chars = sum(map(len, lines[: first_at + 1])) + (first_at + 1) * len(separator)
+    # The bytes up to and with the separator after the first run's first line.
+    chunk_chars = len("".join(line + separator for line in lines[: first_at + 1]).encode())
     return chunk_chars, text
+
+
+def word_tokens(max_size):
+    """1 to max_size bytes from "!" to "~", often all digits and mostly
+    digits otherwise; "/" and ":", either side of the digits, are common."""
+    digit = st.sampled_from(b"0123456789")
+    other = st.one_of(st.sampled_from(b"/:"), st.integers(0x21, 0x7E))
+    return st.one_of(
+        st.lists(digit, min_size=1, max_size=max_size),
+        st.lists(st.one_of(digit, digit, digit, other), min_size=1, max_size=max_size),
+    ).map(bytes)
+
+
+def stamp_tokens():
+    """A word_tokens(24) token with a "." put in at any position, most
+    often 6 bytes from its end, where a stamp has it, or with none."""
+    return word_tokens(24).flatmap(
+        lambda token: st.one_of(st.just(max(len(token) - 6, 0)), st.integers(0, len(token)), st.none()).map(
+            lambda at: token if at is None else token[:at] + b"." + token[at:]
+        )
+    )
+
+
+@st.composite
+def placed_tokens(draw, tokens):
+    """Up to 8 tokens in a chunk after the parse's padding, the first often
+    at the chunk's first byte, each other one after 0 to 9 bytes that may
+    be digits: the chunk, and each token's start and end in it."""
+    chunk, starts, ends = ingest._PADDING.tobytes(), [], []
+    for token in draw(st.lists(tokens, min_size=1, max_size=8)):
+        chunk += draw(word_tokens(9)) if starts or draw(st.booleans()) else b""
+        starts.append(len(chunk))
+        chunk += token
+        ends.append(len(chunk))
+    return np.frombuffer(chunk, np.uint8), np.array(starts), np.array(ends)
+
+
+def read_strictly(reader, placed, *args):
+    """A word reader's values and flags for the placed tokens, and the
+    tokens, with every Python warning raised: numpy warns of a wrapped
+    uint64 only for a scalar, so array arithmetic must wrap silently."""
+    chunk, starts, ends = placed
+    with catch_warnings():
+        simplefilter("error")
+        value, ok = reader(ingest._words(chunk), starts, ends, *args)
+    tokens = [chunk[start:end].tobytes() for start, end in zip(starts, ends)]
+    return value.tolist(), ok.tolist(), tokens
 
 
 @st.composite
@@ -352,6 +399,38 @@ class TestParsing:
         assert records.paths == paths_of(expected)
         assert warnings == expected_warnings
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(st.integers(1, 300), trace_texts()), long_trace_texts()))
+    def test_bytes_parse_like_their_text(self, chunked_text):
+        chunk_chars, text = chunked_text
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "CHUNK_CHARS", chunk_chars)
+            from_text, text_warnings = parse_strictly(text)
+            from_bytes, bytes_warnings = parse_strictly(text.encode())
+        assert from_bytes == from_text
+        assert from_bytes.paths == from_text.paths
+        assert bytes_warnings == text_warnings
+
+    @settings(max_examples=300, deadline=None)
+    @given(placed_tokens(word_tokens(24)))
+    def test_word_reads_take_seqs_as_int_does(self, placed):
+        values, oks, tokens = read_strictly(ingest._read_number, placed, ingest._SEQ_DIGITS)
+        for value, ok, token in zip(values, oks, tokens):
+            assert ok == (token.isdigit() and len(token) <= 18), token
+            if ok:
+                assert value == int(token)
+
+    @settings(max_examples=300, deadline=None)
+    @given(placed_tokens(stamp_tokens()))
+    def test_word_reads_take_stamps_of_six_fraction_digits(self, placed):
+        values, oks, tokens = read_strictly(ingest._read_stamp, placed)
+        for value, ok, token in zip(values, oks, tokens):
+            whole, _, fraction = token.partition(b".")
+            stamp = whole.isdigit() and len(whole) <= 12 and fraction.isdigit() and len(fraction) == 6
+            assert ok == stamp, token
+            if ok:
+                assert value == parse_timestamp_us(token.decode())
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -368,6 +447,8 @@ class TestParsing:
             "1\t1.000000\th\xf4st\t10.0.0.2\tICMP\tEcho (ping) request",
             "1\t1.000000\t10.0.0.1\xa010.0.0.3\t10.0.0.2\tICMP\tEcho (ping) request",
             "1\t1.000000\t10.0.0.1\t10.0.0.2\tICMP\tEcho\u3000(ping) request",
+            # A lone surrogate, as errors="surrogateescape" decodes a stray byte.
+            "1\t1.000000\th\udcf4st\t10.0.0.2\tICMP\tEcho (ping) request",
         ],
     )
     def test_window_edges_and_odd_bytes_match_the_oracle(self, line):

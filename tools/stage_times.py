@@ -5,10 +5,10 @@ Run from the repository root:
     PYTHONPATH=src python3 tools/stage_times.py capture.log --baseline 0.0005
 
 The stages are the calls ``analyze-log`` makes, in its order: read (the
-file's bytes to text), parse, pair, ``rtt_csv``, stats (``rtt_stats`` and
-``stats_summary``), discrepancies, ``propagation_csv`` (only with
-``--baseline``), sha256 (the digest of the text) and write (the output
-files, into a temporary directory). Each round runs every stage once, in
+file's bytes, line ends translated), parse, pair, ``rtt_csv``, stats
+(``rtt_stats`` and ``stats_summary``), discrepancies, ``propagation_csv``
+(only with ``--baseline``), sha256 (the digest of the bytes read) and
+write (the output files, into a temporary directory). Each round runs every stage once, in
 that order, so the stages interleave; the first round warms the caches
 and is not counted. The table gives each stage's median wall time in
 milliseconds over the counted rounds, and their sum.
@@ -37,9 +37,9 @@ def one_round(path: Path, baseline: float | None, out_dir: Path) -> dict[str, fl
         times[name] = (time.perf_counter() - start) * 1e3
         return result
 
-    text = timed("read", cli._read_input, path)
+    data = timed("read", cli._read_input, path)
     warnings: list[str] = []
-    records = timed("parse", cli.parse_ping_log, text, warnings)
+    records = timed("parse", cli.parse_ping_log, data, warnings)
     samples = timed("pair", cli.pair_rtts, records)
     files = {
         "rtt.csv": timed("rtt_csv", cli.rtt_csv, samples),
@@ -48,7 +48,7 @@ def one_round(path: Path, baseline: float | None, out_dir: Path) -> dict[str, fl
     }
     if baseline is not None:
         files["propagation.csv"] = timed("propagation_csv", cli.propagation_csv, samples, baseline)
-    timed("sha256", lambda: hashlib.sha256(text.encode()).hexdigest())
+    timed("sha256", lambda: hashlib.sha256(data).hexdigest())
     timed("write", cli._write_all, out_dir, files)
     return times
 
