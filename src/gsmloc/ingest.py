@@ -22,33 +22,33 @@ a list of the same items. Every seq fits an int64 and every stamp lies from
 ``parse_ping_record`` calls a line with a value past either bound
 malformed.
 
-``parse_ping_log`` reads a capture's UTF-8 bytes (text is encoded once,
-then read the same way) in chunks of about ``CHUNK_CHARS`` bytes, each
-ending at a "\\n", and reads each chunk's bytes, copied after a padding,
-as numpy columns. Separator transitions give the token starts and ends,
-and the newlines the lines; 8n tokens, each line's first after its start
-and each eighth before its end, show that every line has 8 tokens. Seq and
-stamp are read from an unaligned little-endian uint64 view of the chunk,
-8 bytes a word from each token's end, the bytes before the token read as
-"0": each word is checked to be 8 digits and folded to its value in three
+``parse_ping_log`` reads a capture in chunks of about ``CHUNK_CHARS``
+bytes (characters of text), each ending at a "\\n" and read as UTF-8
+bytes. Every line break is first written as "\\n": a chunk holding a
+non-ASCII byte or another line break is decoded, split by ``splitlines``
+and joined by "\\n", so that its "\\n" lines are the lines ``splitlines``
+gives; a "\\n" never falls inside a UTF-8 character, so each chunk decodes
+on its own. Each chunk's bytes, copied after a padding, are read as numpy
+columns. Separator transitions give the token starts and ends, and the
+newlines the lines; 8n tokens, each line's first after its start and each
+eighth before its end, show that every line has 8 tokens. Seq and stamp
+are read from an unaligned little-endian uint64 view of the chunk, 8 bytes
+a word from each token's end, the bytes before the token read as "0": each
+word is checked to be 8 digits and folded to its value in three
 multiply-shifts, as simdjson does. A seq takes up to 18 digits and a stamp
 up to 12 whole digits, its dot and exactly six after it, so every value
 fits an int64. Each line's tail, src to direction, is deduplicated by a
 hash of its bytes that is checked byte for byte, and each distinct tail is
 split once for its (src, dst) and its direction, which must be exactly
-``request`` or ``reply``. A line the columns cannot take goes alone through
-``parse_ping_record``, which decides it exactly as for a single line and
-is the only source of malformed-line messages: a token count other than 0
-or 8, a field that fails or runs past its window, and any control byte but
-tab and the CR of "\\r\\n". Its records go into the chunk's columns with
-``np.insert``. A chunk holding any non-ASCII byte ("²" is a digit to
-``str.isdigit`` but not to ``int``, and "\\xa0" splits a token), a lone
-"\\r" or any other line break is decoded and goes line by line through
-``splitlines`` and ``parse_ping_record``, whose numbering the messages
-use; such a chunk parses several times slower. A "\\n" never falls inside
-a UTF-8 character, so each chunk decodes on its own. Path ids follow the
-first appearance of each (src, dst) over both kinds of line, and a chunk's
-arrays keep the memory held at once to a chunk's worth, where a
+``request`` or ``reply``. A line the columns cannot take goes alone
+through ``parse_ping_record``, which decides it exactly as for a single
+line and is the only source of malformed-line messages: a token count
+other than 0 or 8, a field that fails or runs past its window, and a line
+holding a control byte but tab, a DEL or a non-ASCII byte ("²" is a digit
+to ``str.isdigit`` but not to ``int``, and "\\xa0" splits a token). Its
+records go into the chunk's columns with ``np.insert``. Path ids follow
+the first appearance of each (src, dst) over both kinds of line, and a
+chunk's arrays keep the memory held at once to a chunk's worth, where a
 whole-text ``split`` would hold some seven times the text.
 
 Each request pairs with the earliest unconsumed reply after it whose
@@ -87,9 +87,9 @@ from .errors import EmptyDataError
 
 US_PER_S = 10**6
 
-# parse_ping_log reads a trace in chunks of about this many bytes (the
-# characters of an ASCII trace), so that its byte columns stay a chunk's
-# worth and not the whole capture's.
+# parse_ping_log reads a trace in chunks of about this many bytes, or
+# characters of text, so that its byte columns stay a chunk's worth and
+# not the whole capture's.
 CHUNK_CHARS = 1 << 18
 
 # The column read takes a seq of up to 18 digits and a stamp of up to 12
@@ -107,7 +107,7 @@ _TAIL_HASH = np.array(
     ],
     np.uint64,
 )
-_TAB, _LF, _CR, _SPACE, _ZERO, _DOT, _DEL = 0x09, 0x0A, 0x0D, 0x20, 0x30, 0x2E, 0x7F
+_TAB, _LF, _SPACE, _ZERO, _DOT, _DEL = 0x09, 0x0A, 0x20, 0x30, 0x2E, 0x7F
 _COMMA, _MINUS, _PLUS, _LOWER_E = 0x2C, 0x2D, 0x2B, 0x65
 _PADDING = np.full(_TAIL_WIDTH, _SPACE, np.uint8)
 _NO_INTS = np.zeros(0, np.int64)
@@ -117,8 +117,6 @@ _POWERS_OF_TEN = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 # 10.0**k at k, each exact as a float64; 10.0**23 is not.
 _EXACT_POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])
 _COLUMNS = np.arange(_TAIL_WIDTH, dtype=np.int8)
-# What splitlines breaks an ASCII line at, but "\n" and "\r".
-_OTHER_LINE_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
 # Eight bytes read as a little-endian uint64 word, the first byte lowest
 # (see _eight_digits). _HIGH_BYTES[n] keeps a word's last n bytes.
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
@@ -301,18 +299,20 @@ def parse_ping_log(capture: str | bytes, warnings: list[str] | None = None) -> P
     """Parse a whole trace, one record per well-formed line, order preserved.
 
     The trace is text or its UTF-8 bytes, which parse alike: text is
-    encoded once and then read as bytes. Malformed lines are skipped, never
+    encoded a chunk at a time. Every line break is first written as "\\n",
+    and a line with a control byte but tab, a DEL or a non-ASCII byte goes
+    alone through ``parse_ping_record``. Malformed lines are skipped, never
     fatal; pass a list as ``warnings`` to collect a message per skipped
-    line. Blank lines are ignored.
+    line, numbered as ``splitlines`` numbers it. Blank lines are ignored.
     """
-    if isinstance(capture, str):
-        capture = capture.encode("utf-8", "surrogatepass")
     # Each column's pieces, a chunk's worth each, joined at the end.
     parts: tuple[list[np.ndarray], ...] = ([_NO_INTS], [_NO_INTS], [_NO_INTS], [_NO_BOOLS])
     path_ids: dict[tuple[str, str], int] = {}
     lines_before = 0
     for chunk in _chunks(capture):
-        columns = _chunk_columns(chunk)
+        if isinstance(chunk, str):
+            chunk = chunk.encode("utf-8", "surrogatepass")
+        columns = _chunk_columns(_lf_lines(chunk))
         records = []
         for index, line in columns.odd_lines:
             if not line.strip():
@@ -339,20 +339,30 @@ def parse_ping_log(capture: str | bytes, warnings: list[str] | None = None) -> P
     return PingLog(*map(np.concatenate, parts), list(path_ids))
 
 
-def _chunks(capture: bytes) -> Iterator[bytes]:
-    """The bytes in pieces of about CHUNK_CHARS, each ending at a "\\n"; a
-    last piece without one gets one, which splitlines ignores. A "\\n" never
-    falls inside a UTF-8 character, so each piece decodes on its own."""
+def _chunks(capture: str | bytes) -> Iterator[str | bytes]:
+    """The text or bytes in pieces of about CHUNK_CHARS characters or bytes,
+    each ending at a "\\n"; a last piece without one gets one, which
+    splitlines ignores. A "\\r\\n" never straddles two pieces, so the pieces'
+    splitlines lines are the capture's."""
+    newline = "\n" if isinstance(capture, str) else b"\n"
     start = 0
     while start < len(capture):
         end = (
-            capture.rfind(b"\n", start, start + CHUNK_CHARS) + 1
-            or capture.find(b"\n", start + CHUNK_CHARS) + 1
+            capture.rfind(newline, start, start + CHUNK_CHARS) + 1
+            or capture.find(newline, start + CHUNK_CHARS) + 1
             or len(capture)
         )
         chunk = capture[start:end]
-        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+        yield chunk if chunk.endswith(newline) else chunk + newline
         start = end
+
+
+def _lf_lines(chunk: bytes) -> bytes:
+    """The chunk's UTF-8 bytes with every line break splitlines finds written
+    as "\\n", the chunk itself when it is ASCII with no break but "\\n"."""
+    if chunk.isascii() and not any(map(chunk.__contains__, b"\r\x0b\x0c\x1c\x1d\x1e")):
+        return chunk
+    return ("\n".join(chunk.decode("utf-8", "surrogatepass").splitlines()) + "\n").encode("utf-8", "surrogatepass")
 
 
 @dataclass
@@ -370,31 +380,24 @@ class _ChunkColumns:
 
 
 def _chunk_columns(chunk: bytes) -> _ChunkColumns:
-    """What the column read takes from a chunk that ends with "\\n".
+    """What the column read takes from UTF-8 bytes whose only line break is
+    "\\n", which ends them.
 
-    A line is read as columns when it has no control byte but tab and the
-    CR of its "\\r\\n", has 8 tokens, a seq of digits, a stamp of digits with
-    exactly six after its one dot, each within its window, a tail (src to
-    direction) within its window, and a direction of exactly ``request`` or
-    ``reply``. Every other line that is not blank is left to
-    parse_ping_record. A chunk that holds a non-ASCII byte or a line break
-    other than "\\n" and "\\r\\n" is left to it line by line, numbered as
-    splitlines numbers them.
+    A line is read as columns when it has no control byte but tab, no DEL
+    and no non-ASCII byte, has 8 tokens, a seq of digits, a stamp of digits
+    with exactly six after its one dot, each within its window, a tail (src
+    to direction) within its window, and a direction of exactly ``request``
+    or ``reply``. Every other line that is not blank is decoded and left to
+    parse_ping_record.
     """
-    if not chunk.isascii():
-        return _splitlines_chunk(chunk)
     # Positions count from the start of the padding, so every window fits.
     padded = np.concatenate((_PADDING, np.frombuffer(chunk, np.uint8)))
-    if b"\r" in chunk and (padded[np.flatnonzero(padded == _CR) + 1] != _LF).any():
-        return _splitlines_chunk(chunk)
     newlines = np.flatnonzero(padded == _LF)
     n_lines = len(newlines)
-    # Control bytes but tab, LF and CR, and DEL: counted first, as a chunk seldom holds one.
-    n_usual = n_lines + np.count_nonzero(padded == _TAB) + np.count_nonzero(padded == _CR)
-    if np.count_nonzero(padded < _SPACE) > n_usual or _DEL in chunk:
-        if any(map(chunk.__contains__, _OTHER_LINE_BREAKS)):
-            return _splitlines_chunk(chunk)
-        odd_at = np.flatnonzero((padded < _SPACE) ^ (padded == _TAB) ^ (padded == _LF) ^ (padded == _CR) | (padded == _DEL))
+    # Control bytes but tab and LF, DEL and non-ASCII bytes: looked for first, as a chunk seldom holds one.
+    n_usual = n_lines + np.count_nonzero(padded == _TAB)
+    if np.count_nonzero(padded < _SPACE) > n_usual or _DEL in chunk or not chunk.isascii():
+        odd_at = np.flatnonzero((padded < _SPACE) ^ (padded == _TAB) ^ (padded == _LF) | (padded >= _DEL))
     else:
         odd_at = np.zeros(0, np.intp)
     line_before = np.concatenate(([len(_PADDING) - 1], newlines[:-1]))
@@ -444,18 +447,12 @@ def _chunk_columns(chunk: bytes) -> _ChunkColumns:
     odd[lines] = False
     odd &= (counts != 0) | has_odd_byte
     odd_lines = [
-        (index, chunk[start + 1 - len(_PADDING) : end - len(_PADDING)].removesuffix(b"\r").decode("ascii"))
+        (index, chunk[start + 1 - len(_PADDING) : end - len(_PADDING)].decode("utf-8", "surrogatepass"))
         for index, start, end in zip(
             np.flatnonzero(odd).tolist(), line_before[odd].tolist(), newlines[odd].tolist()
         )
     ]
     return _ChunkColumns(n_lines, lines, seq, time_us, tail, tail_firsts, tail_is_request, odd_lines)
-
-
-def _splitlines_chunk(chunk: bytes) -> _ChunkColumns:
-    """A chunk with no column rows: every line is left to parse_ping_record."""
-    lines = chunk.decode("utf-8", "surrogatepass").splitlines()
-    return _ChunkColumns(len(lines), _NO_INTS, _NO_INTS, _NO_INTS, _NO_INTS, [], _NO_BOOLS, list(enumerate(lines)))
 
 
 def _words(padded: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Every module, demo and tool reads each name it imports.
+"""Every module, demo and tool reads each name it imports, and every
+package module reads each private name it defines.
 
-No linter runs on this repository, so this test makes one of a linter's
-checks: an imported name the module never uses. src/gsmloc/__init__.py is
-left out, because its imports are the package's public API.
+No linter runs on this repository, so this test makes two of a linter's
+checks: an imported name the module never uses, and a module-level
+private name (``_x``) its own module never reads, as a deleted code path
+leaves its constants behind. src/gsmloc/__init__.py is left out of the
+first, because its imports are the package's public API.
 """
 
 import ast
@@ -11,8 +14,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_MODULES = sorted((ROOT / "src" / "gsmloc").glob("*.py"))
 MODULES = [
-    *sorted(p for p in (ROOT / "src" / "gsmloc").glob("*.py") if p.name != "__init__.py"),
+    *(p for p in PACKAGE_MODULES if p.name != "__init__.py"),
     *sorted((ROOT / "tests").glob("*.py")),
     *sorted((ROOT / "demos").glob("*.py")),
     *sorted((ROOT / "tools").glob("*.py")),
@@ -42,3 +46,24 @@ def test_every_import_is_used(path):
     unused = [name for name in unused_imports(ast.parse(path.read_text())) if (path.name, name) not in EXEMPT]
     assert unused == []
 
+
+def unread_private_names(tree: ast.Module) -> list[str]:
+    """The private names (one leading underscore) tree assigns, defines or
+    imports at module level that no Name node reads."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - read)
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_private_name_is_read(path):
+    assert unread_private_names(ast.parse(path.read_text())) == []

@@ -113,9 +113,8 @@ def trace_line(draw, ascii_only=False):
 @st.composite
 def trace_texts(draw):
     """Up to 30 lines from trace_line(), ended by "\\n" only, by "\\n" or
-    "\\r\\n", or by any line break: parse_ping_log reads columns only from
-    the first two kinds of text, and only when it is ASCII, as half the
-    texts are."""
+    "\\r\\n", or by any line break; half the texts are ASCII. parse_ping_log
+    writes every line break as "\\n" before it reads columns."""
     ascii_only = draw(st.booleans())
     lines = draw(st.lists(trace_line(ascii_only), max_size=30))
     breaks = draw(st.sampled_from([["\n"], ["\n", "\r\n"], [b for b in LINE_SEPARATORS if b.isascii() or not ascii_only]]))
@@ -136,9 +135,8 @@ def shifted_line(draw):
 
 
 # Characters that leave a line to parse_ping_record when a token holds one:
-# DEL and control bytes ("\x1f" also separates tokens, "\x0c" also breaks
-# lines). Non-ASCII whitespace, which str.split separates at, leaves its
-# whole chunk to parse_ping_record, as any non-ASCII character does.
+# DEL, control bytes ("\x1f" also separates tokens, "\x0c" also breaks
+# lines) and non-ASCII characters, such as whitespace str.split separates at.
 ODD_CHARACTERS = ["\x7f", "\x00", "\x01", "\x08", "\x0e", "\x1b", "\x1f", "\x0c", "\xa0", "\u3000"]
 
 
@@ -497,6 +495,29 @@ class TestParsing:
         expected_warnings = []
         oracle_parse_ping_log(text, expected_warnings)
         assert warnings == expected_warnings
+
+    @pytest.mark.parametrize("line_break, non_ascii, calls", [("\n", True, 1), ("\r", False, 0), ("\x0c", False, 0)])
+    def test_only_odd_lines_go_to_the_single_line_parser(self, monkeypatch, line_break, non_ascii, calls):
+        # 4000 well-formed lines, with "hôst" as the src of one when non_ascii; only that line is odd.
+        lines = [
+            f"{k + 1}\t{format_timestamp(1000 + 25_000 * k)}\t169.254.118.52\t169.254.65.{k // 2 % 4 + 1}"
+            f"\tICMP\tEcho (ping) {(REQUEST, REPLY)[k % 2]}"
+            for k in range(4000)
+        ]
+        if non_ascii:
+            lines[1234] = lines[1234].replace("169.254.118.52", "h\xf4st")
+        text = line_break.join(lines) + line_break
+        expected_warnings = []
+        expected = oracle_parse_ping_log(text, expected_warnings)
+        parsed = []
+        monkeypatch.setattr(ingest, "parse_ping_record", lambda line: parsed.append(line) or parse_ping_record(line))
+        for capture in (text, text.encode()):
+            parsed.clear()
+            records, warnings = parse_strictly(capture)
+            assert len(parsed) == calls
+            assert records == expected
+            assert records.paths == paths_of(expected)
+            assert warnings == expected_warnings
 
     def test_peak_memory_stays_near_the_text(self):
         # A clean 40 000-line capture; a whole-text split() would hold some 7x its size.
