@@ -29,6 +29,13 @@ keeps the indices of the events that survive; first_k_acks and
 format_trace read the table through its trace, and measurement_csv through
 first_k_acks' list while that list is unchanged.
 
+The fix, too, is a function of the three ack slots a trial reads, since
+their ranges are fixed once converted. So the table also keeps a fix memo,
+keyed by the tuple of those slots: run_scenario solves only for a triple no
+earlier trial of the config has read, and trials with the same triple share
+one LocationFix. A solve that raises stores nothing, so its error recurs,
+as a conversion's does.
+
 ScenarioConfig rejects a config the simulator cannot run, so a library
 caller gets the ConfigError the CLI reports. Only a clock too fine to
 count to the simulated times shows later, when the arrivals are quantized.
@@ -128,8 +135,9 @@ class ScenarioConfig:
     Raises ConfigError for what the simulator cannot run, whoever builds
     the config: fewer than 3 towers, repeated tower ids, a timing mode
     other than round_trip, a tower or mobile coordinate above
-    trilateration.MAX_MAGNITUDE, trials below 1, a negative or non-finite
-    tower_processing_delay or request_time, or packet_loss outside [0, 1].
+    trilateration.MAX_MAGNITUDE, trials below 1, a negative rng_seed, a
+    negative or non-finite tower_processing_delay or request_time, or
+    packet_loss outside [0, 1].
     """
 
     towers: tuple[TowerSite, ...]
@@ -157,6 +165,8 @@ class ScenarioConfig:
             raise ConfigError(f"tower ids must be unique, got {sorted(ids)}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.rng_seed}")
         # Written so that NaN fails every check.
         if not 0.0 <= self.tower_processing_delay < math.inf:
             raise ConfigError("tower_processing_delay must be non-negative and finite")
@@ -191,6 +201,13 @@ class Exchange:
     reads them. They stay lazy because a conversion can raise, and which
     acks a trial reads decides whether it does; a conversion that raises
     stores nothing, so its error recurs.
+
+    fixes maps the tuple of the slots of a trial's first three acks to the
+    fix solved from their ranges, which those slots decide. solve fills it
+    on a miss; a solve that raises stores nothing, so a collinear first
+    three raises again on every trial that reads it. It holds at most one
+    entry per distinct triple, so at most one per trial run, and lives as
+    long as the table, which every trace of the config already keeps alive.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -221,6 +238,7 @@ class Exchange:
         self.lines = list(_lines(request, self.events, self.sites))
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
         self.rows: list[str | None] = [None] * (2 * n)
+        self.fixes: dict[tuple[int, ...], LocationFix] = {}
 
     def measure(self, slots: Sequence[int]) -> list[RangeMeasurement | None]:
         """The range table, with the RangeMeasurement and measurements.csv row of each ack of slots filled in.
@@ -239,6 +257,20 @@ class Exchange:
                 self.rows[s] = _csv_row(m, self.ds[s])
                 measured[s] = m
         return measured
+
+    def solve(self, acks: Acks) -> LocationFix:
+        """The fix from the ranges of acks, which first_k_acks read from this table: memoised by their slots.
+
+        A hit returns the fix an earlier trial solved, the same object; a miss
+        calls solve_position and stores its fix, unless it raises.
+        """
+        key = tuple(acks.slots)
+        fix = self.fixes.get(key)
+        if fix is None:
+            fix = self.fixes[key] = solve_position(
+                [m.tower for m in acks], [m.range_m for m in acks], z_convention=NONNEGATIVE
+            )
+        return fix
 
 
 def _picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) -> Trace:
@@ -279,7 +311,11 @@ def run_scenario(
     The arrivals, their trace order, lines and ranges depend on the config
     alone, so they live in the config's exchange table, which its first
     trial builds; every trial only draws its losses and picks the
-    surviving slots.
+    surviving slots. The fix depends only on the slots of the first three
+    acks, so it is solved once per distinct triple and kept in the table's
+    fix memo (Exchange.fixes); a trial whose triple an earlier trial read
+    returns that trial's LocationFix object. A solve that raises is not
+    stored and raises again on every such trial.
 
     Returns:
         (trace, measurements, fix) where measurements are the first three
@@ -287,17 +323,16 @@ def run_scenario(
         fix is the three-tower solve over them.
 
     Raises:
+        ValueError: trial_index is negative.
         InsufficientMeasurementsError: fewer than 3 acks arrived (reachable
             only with packet_loss > 0).
     """
-    trace = _picked_trace(config, config.exchange, trial_index)
+    if trial_index < 0:
+        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
+    exchange = config.exchange
+    trace = _picked_trace(config, exchange, trial_index)
     measurements = first_k_acks(trace, 3)
-    fix = solve_position(
-        [m.tower for m in measurements],
-        [m.range_m for m in measurements],
-        z_convention=NONNEGATIVE,
-    )
-    return trace, measurements, fix
+    return trace, measurements, exchange.solve(measurements)
 
 
 def run_trials(config: ScenarioConfig) -> list[tuple[Trace, list[RangeMeasurement], LocationFix]]:
@@ -306,7 +341,9 @@ def run_trials(config: ScenarioConfig) -> list[tuple[Trace, list[RangeMeasuremen
     Each trial is a pure function of (config, rng_seed, trial index), so
     results do not depend on execution order and trials may be distributed
     across workers freely. Every trial picks from the config's one exchange
-    table.
+    table, and solves only when its first three acks' slots are a triple no
+    earlier trial read; the table's fix memo then holds at most one fix per
+    distinct triple, never an error.
     """
     return [run_scenario(config, trial_index=i) for i in range(config.trials)]
 

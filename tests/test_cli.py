@@ -204,6 +204,8 @@ class TestSimulate:
             {"towers": {"sites": [{"position": [0, 0, 0], "pos": [1, 0, 0]}, {"position": [9, 0, 0]},
                                   {"position": [0, 9, 0]}]}},
             {"timing": dict(HEX_CONFIG["timing"], clock=1e-9)},
+            {"seed": -1},
+            {"seed": -1, "packet_loss": 0.1},
         ],
         ids=[
             "huge-sites", "huge-hex", "huge-mobile", "one-way", "clock-overflows", "timing-list",
@@ -211,6 +213,7 @@ class TestSimulate:
             "radius-string", "center-string", "position-bool", "mobile-bool", "alpha-string", "c-string",
             "clock-null", "delay-string", "request-time-list", "loss-string", "loss-bool", "int-overflows-float",
             "rings-101", "unknown-key", "hex-unknown-key", "hex-and-sites", "site-unknown-key", "timing-unknown-key",
+            "seed-negative", "seed-negative-lossy",
         ],
     )
     def test_unrunnable_config_exit_2(self, tmp_path, capsys, override):
@@ -232,8 +235,9 @@ class TestSimulate:
                 {"towers": {"sites": [{"position": [1e200, 0, 0]}, {"position": [0, 1e200, 0]}, {"position": [0, 0, 0]}]}},
                 "numbers must be finite and at most 1e+75 in absolute value, got position [1e+200, 0.0, 0.0]",
             ),
+            ({"seed": -1, "packet_loss": 0.1}, "seed must be >= 0, got -1"),
         ],
-        ids=["loss-bool", "c-string", "mobile-null", "huge-sites"],
+        ids=["loss-bool", "c-string", "mobile-null", "huge-sites", "seed-negative"],
     )
     def test_non_number_field_names_the_key(self, tmp_path, capsys, override, message):
         config = write_config(tmp_path / "scenario.json", dict(HEX_CONFIG, **override))

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsmloc import simulator
-from gsmloc.errors import ConfigError, GsmlocError, InsufficientMeasurementsError, NegativeIntervalError
+from gsmloc.errors import (
+    ConfigError,
+    DegenerateGeometryError,
+    GsmlocError,
+    InsufficientMeasurementsError,
+    NegativeIntervalError,
+)
 from gsmloc.geometry import Point3, TowerSite, distance, hex_cell_layout
 from gsmloc.simulator import (
     EventKind,
@@ -20,7 +26,7 @@ from gsmloc.simulator import (
     run_trials,
 )
 from gsmloc.timing import ONE_WAY, SPEED_OF_LIGHT, TimingModel
-from gsmloc.trilateration import RangeMeasurement
+from gsmloc.trilateration import NONNEGATIVE, RangeMeasurement, solve_position
 
 RIGHT_TRIANGLE = (
     TowerSite(0, Point3(0, 0, 0)),
@@ -112,6 +118,11 @@ class TestRunScenario:
         first = run_scenario(config, trial_index=3)
         second = run_scenario(config, trial_index=3)
         assert format_trace(first[0]) == format_trace(second[0])
+
+    def test_negative_trial_index_rejected(self):
+        for config in (basic_config(), basic_config(packet_loss=0.1)):
+            with pytest.raises(ValueError, match="trial_index must be >= 0, got -1"):
+                run_scenario(config, -1)
 
 
 class TestDeterminism:
@@ -223,6 +234,8 @@ class TestScenarioConfigValidation:
             basic_config(packet_loss=1.5)
         with pytest.raises(ConfigError):
             basic_config(tower_processing_delay=-1e-9)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            basic_config(rng_seed=-1)
         # A library caller gets the CLI's rules: no one-way timing and
         # nothing above the solver's magnitude bound.
         with pytest.raises(ConfigError, match="round trips"):
@@ -394,6 +407,31 @@ def distance_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The tower ids of every simulator.solve_position call made during the test."""
+    calls = []
+
+    def counted(towers, ranges, z_convention):
+        calls.append(tuple(t.id for t in towers))
+        return solve_position(towers, ranges, z_convention=z_convention)
+
+    monkeypatch.setattr(simulator, "solve_position", counted)
+    return calls
+
+
+def _collinear_first_three_config(**overrides):
+    """Towers 0-2 on the x axis nearest the mobile, tower 3 far off it: its first three acks are collinear."""
+    towers = (
+        TowerSite(0, Point3(0, 0, 0)),
+        TowerSite(1, Point3(10, 0, 0)),
+        TowerSite(2, Point3(20, 0, 0)),
+        TowerSite(3, Point3(0, 100, 0)),
+        TowerSite(4, Point3(30, 60, 0)),
+    )
+    return basic_config(towers=towers, mobile_true_position=Point3(10, -1, 0), **overrides)
+
+
 class TestExchangeTable:
     """What depends on the config alone is computed once per config object that runs several trials."""
 
@@ -481,3 +519,52 @@ class TestExchangeTable:
             else:
                 with pytest.raises(error):
                     run_scenario(config, trial_index)
+
+    def test_run_trials_solves_once_per_first_three(self, solve_calls):
+        config = _lossy_hex_config(trials=120)
+        results = run_trials(config)
+        triples = {tuple(measurements.slots) for _, measurements, _ in results}
+        assert len(solve_calls) == len(triples) < config.trials
+        assert set(config.exchange.fixes) == triples
+
+    def test_equal_first_three_share_one_fix(self):
+        config = _lossy_hex_config(trials=120)
+        by_triple = {}
+        for _, measurements, fix in run_trials(config):
+            assert by_triple.setdefault(tuple(measurements.slots), fix) is fix
+        assert len(by_triple) < config.trials
+
+    def test_each_fix_equals_a_fresh_solve(self):
+        config = _lossy_hex_config(trials=60)
+        for _, measurements, fix in run_trials(config):
+            fresh = solve_position(
+                [m.tower for m in measurements], [m.range_m for m in measurements], z_convention=NONNEGATIVE
+            )
+            # dataclass equality: position, residuals, method, z_branch and z_clamped
+            assert fix == fresh
+
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_a_collinear_first_three_raises_on_every_repeat(self, solve_calls, loss):
+        config = _collinear_first_three_config(packet_loss=loss, rng_seed=3)
+        collinear = 0
+        for trial_index in list(range(12)) * 2:
+            try:
+                _, measurements, _ = run_scenario(config, trial_index)
+            except DegenerateGeometryError:
+                collinear += 1
+            except InsufficientMeasurementsError:
+                continue
+            else:
+                assert {m.tower.id for m in measurements} != {0, 1, 2}
+        assert collinear >= 2
+        assert all(set(config.exchange.sites[s].id for s in key) != {0, 1, 2} for key in config.exchange.fixes)
+        # every collinear trial solves again; every other triple solves once
+        assert len(solve_calls) == collinear + len(config.exchange.fixes)
+
+    def test_a_replaced_config_starts_with_an_empty_memo(self):
+        config = _lossy_hex_config(trials=6)
+        run_trials(config)
+        assert config.exchange.fixes
+        twin = dataclasses.replace(config)
+        assert twin.exchange is not config.exchange
+        assert twin.exchange.fixes == {}
