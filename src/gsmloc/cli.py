@@ -62,7 +62,6 @@ from .ingest import (
     subtract_baseline,
 )
 from .simulator import (
-    EventKind,
     ScenarioConfig,
     first_k_acks,
     format_trace,
@@ -256,8 +255,7 @@ def cmd_simulate(args) -> Run:
     if config.trials > 1:
         raise ConfigError(f"simulate runs one trial; trials must be 1, got {config.trials}")
     trace, measurements, fix = run_scenario(config)
-    n_acks = sum(1 for e in trace.events if e.kind is EventKind.ACK_ARRIVES)
-    all_measurements = first_k_acks(trace, n_acks)
+    all_measurements = first_k_acks(trace, len(trace.acked))
 
     files = {
         "trace.tsv": format_trace(trace),

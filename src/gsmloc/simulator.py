@@ -25,9 +25,13 @@ trace order, and each event's trace line, since none of these can fail.
 Each ack's range and measurements.csv row are filled in together the first
 time a trace reads that ack: converting a range can raise, and which acks
 a trial reads decides whether it does. Every trial draws its losses and
-keeps the indices of the events that survive; first_k_acks and
-format_trace read the table through its trace, and measurement_csv through
-first_k_acks' list while that list is unchanged.
+keeps the slots of the events that survive, in a few numpy operations on
+the table's slot arrays: the requests that arrived, taken in arrival
+order, decide how many ack losses are drawn, and each kept ack maps to its
+slot. The trace carries its ack slots too, so first_k_acks slices them
+instead of scanning the events. first_k_acks and format_trace read the
+table through its trace, and measurement_csv through first_k_acks' list
+while that list is unchanged.
 
 The fix, too, is a function of the three ack slots a trial reads, since
 their ranges are fixed once converted. So the table also keeps a fix memo,
@@ -48,8 +52,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, partial
-from itertools import compress, islice, repeat
-from operator import attrgetter, is_
+from itertools import repeat
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -104,11 +108,14 @@ class Event(NamedTuple):
 class Trace:
     """Ordered event log of one exchange plus the context to re-derive ranges.
 
-    A trace also carries its config's exchange table and the slots of its
-    events there, in ascending order; format_trace reads the table's lines
-    and first_k_acks its ranges, and the trace keeps the whole table
-    alive. Neither takes part in equality: two traces are equal when their
-    events, timing and towers are, whichever configs they came from.
+    A trace also carries its config's exchange table, the slots of its
+    events there (arrived: a list of ints, or a range when nothing was
+    lost) and the list of the slots of its acks alone (acked), both
+    ascending; format_trace reads the table's lines at
+    arrived, first_k_acks slices acked and reads the table's ranges, and
+    the trace keeps the whole table alive. None of these takes part in
+    equality: two traces are equal when their events, timing and towers
+    are, whichever configs they came from.
     """
 
     events: tuple[Event, ...]
@@ -116,6 +123,7 @@ class Trace:
     towers: tuple[TowerSite, ...]
     exchange: Exchange = field(compare=False, repr=False)
     arrived: Sequence[int] = field(compare=False, repr=False)
+    acked: list[int] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -186,12 +194,15 @@ class Exchange:
 
     events holds every tower's request and ack, all sharing one
     RequestPacket, in trace order; the slots are the indices into it.
-    order[s] is the index j, in config order, of the event at s: j % n is
-    its tower's index in the config's towers, and j >= n marks an ack.
-    arrival_order lists the tower indices in request-arrival order, the
-    order the ack losses are drawn in. sites[s] is the tower of the event
-    at s, and ds[s] that tower's distance from mobile, the config's true
-    position. A trial's trace only picks slots from this table.
+    For the tower at index i of the config's towers, request_slot[i] and
+    ack_slot[i] are the slots of its request and its ack (int arrays, the
+    two halves of the inverse of the trace-order sort). arrival_order is
+    an int array of the tower indices in request-arrival order, the order
+    the ack losses are drawn in, and acked lists the slots of every ack in
+    ascending order, a lossless trial's ack slots. sites[s] is the tower
+    of the event at s, and ds[s] that tower's distance from mobile, the
+    config's true position. A trial's trace only picks slots from this
+    table.
 
     lines[s] is the trace line of the event at s, rendered with the table:
     rendering cannot fail, and every trace's output reads its lines.
@@ -229,11 +240,18 @@ class Exchange:
         make = partial(tuple.__new__, Event)
         events = list(map(make, zip(arrivals, repeat(REQUEST_ARRIVES), ids, repeat(request))))
         events += map(make, zip(returns, repeat(ACK_ARRIVES), ids, repeat(request)))
-        self.order = order = sorted(range(2 * n), key=events.__getitem__)
+        order = sorted(range(2 * n), key=events.__getitem__)
         self.events = tuple(map(events.__getitem__, order))
-        self.arrival_order = [j for j in order if j < n]
-        at = [j % n for j in order]
-        self.sites = list(map(towers.__getitem__, at))
+        order = np.fromiter(order, dtype=np.intp, count=2 * n)
+        # The inverse permutation: slot[j] is where event j, in config order, landed.
+        slot = np.empty(2 * n, dtype=np.intp)
+        slot[order] = np.arange(2 * n)
+        self.request_slot, self.ack_slot = slot[:n], slot[n:]
+        self.arrival_order = order[order < n]
+        self.acked = np.flatnonzero(order >= n).tolist()
+        at = (order % n).tolist()
+        # A comprehension, not map(towers.__getitem__): a tuple's bound __getitem__ is a slow slot wrapper.
+        self.sites = [towers[i] for i in at]
         self.ds = list(map(ds.__getitem__, at))
         self.lines = list(_lines(request, self.events, self.sites))
         self.measured: list[RangeMeasurement | None] = [None] * (2 * n)
@@ -246,9 +264,13 @@ class Exchange:
         An ack's range comes from its quantized arrival less the echoed send
         timestamp. Slots are converted in the order given; one whose
         conversion raises stays empty in both tables, and the error
-        propagates.
+        propagates. When every slot is converted already, as on most warm
+        trials, one check of the rows returns the table without a loop.
         """
         measured, timing = self.measured, self.timing
+        # rows[s] is None exactly when measured[s] is; a str answers == None in C.
+        if None not in map(self.rows.__getitem__, slots):
+            return measured
         for s in slots:
             if measured[s] is None:
                 time, _, _, payload = self.events[s]
@@ -274,23 +296,32 @@ class Exchange:
 
 
 def _picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) -> Trace:
-    """One trial's trace: the slots of its config's exchange table that survive its losses."""
+    """One trial's trace: the slots of its config's exchange table that survive its losses.
+
+    The request losses are one draw per tower, in tower order. Indexing
+    those by arrival_order gives the towers whose request arrived, in
+    arrival order; one ack loss is drawn for each, in that order, and the
+    kept ones map through ack_slot to the trial's ack slots. The arrived
+    slots are those and the kept requests' slots, merged in ascending
+    order. A lossless trial draws nothing and picks the whole table.
+    """
     loss = config.packet_loss
     if loss > 0.0:
         rng = np.random.default_rng([config.rng_seed, trial_index])
-        n = len(config.towers)
-        # keep[j] for event j in config order: the request to tower j % n, or its ack if j >= n.
-        keep = (rng.random(n) >= loss).tolist()
-        requests = list(compress(exchange.arrival_order, map(keep.__getitem__, exchange.arrival_order)))
-        keep += repeat(False, n)
-        for i in compress(requests, (rng.random(len(requests)) >= loss).tolist()):
-            keep[n + i] = True
-        arrived = list(compress(range(2 * n), map(keep.__getitem__, exchange.order)))
-        events = tuple(map(exchange.events.__getitem__, arrived))
+        arrival_order = exchange.arrival_order
+        sent = rng.random(len(config.towers)) >= loss
+        # The towers whose request arrived, in arrival order: the order their ack losses are drawn in.
+        requests = arrival_order[sent[arrival_order]]
+        acked = exchange.ack_slot[requests[rng.random(len(requests)) >= loss]]
+        acked.sort()
+        arrived = np.concatenate((exchange.request_slot[requests], acked))
+        arrived.sort()
+        arrived, acked = arrived.tolist(), acked.tolist()
+        table = exchange.events
+        events = tuple([table[s] for s in arrived])
     else:
-        arrived = range(len(exchange.events))
-        events = exchange.events
-    return Trace(events, config.timing, config.towers, exchange, arrived)
+        arrived, acked, events = range(len(exchange.events)), exchange.acked, exchange.events
+    return Trace(events, config.timing, config.towers, exchange, arrived, acked)
 
 
 def run_scenario(
@@ -364,13 +395,15 @@ def _lines(request: RequestPacket, events: Iterable[Event], towers: Iterable[Tow
 
 
 class Acks(list):
-    """first_k_acks' RangeMeasurements, naming the exchange table and the slots they were read from."""
+    """first_k_acks' RangeMeasurements, naming the exchange table and the slots they were read from.
+
+    first_k_acks sets both attributes after the list is filled, which
+    costs less than an __init__ of its own.
+    """
 
     __slots__ = ("exchange", "slots")
-
-    def __init__(self, measurements: Iterable[RangeMeasurement], exchange: Exchange, slots: list[int]):
-        super().__init__(measurements)
-        self.exchange, self.slots = exchange, slots
+    exchange: Exchange
+    slots: list[int]
 
 
 def first_k_acks(trace: Trace, k: int) -> Acks:
@@ -382,7 +415,8 @@ def first_k_acks(trace: Trace, k: int) -> Acks:
     send timestamp. An ack's range is converted, with its measurements.csv
     row, the first time any trace of the config reads it, and read from
     its exchange table after that.
-    The list returned also names that table and the acks' slots in it,
+    The acks are the first k of the trace's ack slots (Trace.acked), so no
+    event is scanned; the list returned names that table and those slots,
     which lets measurement_csv read the table's rows.
 
     Raises:
@@ -390,11 +424,13 @@ def first_k_acks(trace: Trace, k: int) -> Acks:
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    # An event's kind is truthy exactly for an ack (ACK_ARRIVES is 1).
-    acks = list(islice(compress(trace.arrived, map(attrgetter("kind"), trace.events)), k))
-    if len(acks) < k:
-        raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
-    return Acks(map(trace.exchange.measure(acks).__getitem__, acks), trace.exchange, acks)
+    slots = trace.acked[:k]
+    if len(slots) < k:
+        raise InsufficientMeasurementsError(f"trace has {len(slots)} acks, need {k}")
+    exchange = trace.exchange
+    acks = Acks(map(exchange.measure(slots).__getitem__, slots))
+    acks.exchange, acks.slots = exchange, slots
+    return acks
 
 
 def format_trace(trace: Trace) -> str:
@@ -408,8 +444,11 @@ def format_trace(trace: Trace) -> str:
     """
     if not trace.arrived:
         return "\n"
+    lines = trace.exchange.lines
+    picked = [lines[s] for s in trace.arrived]
     # The trailing empty item ends the text with a newline without copying it.
-    return "\n".join([*map(trace.exchange.lines.__getitem__, trace.arrived), ""])
+    picked.append("")
+    return "\n".join(picked)
 
 
 def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3) -> str:

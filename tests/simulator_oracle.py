@@ -7,19 +7,28 @@ packets. ``gsmloc.simulator.run_scenario`` must give the same events,
 measurements, fix and rendered trace, or raise the same error.
 ``measurement_csv`` measures every row's actual distance and formats the
 row afresh; ``gsmloc.simulator.measurement_csv`` must give the same text.
+
+``picked_trace`` is the list-based loss pick that ``_picked_trace`` ran
+before it drew a trial's losses into exchange-table slots with numpy, and
+``picked_first_k_acks`` is the ``first_k_acks`` that read its ack slots by
+scanning the picked events' kinds. Both take the table the simulator
+built, and must give the same slots, the very same ``Event`` objects and
+the same ranges.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from gsmloc.errors import InsufficientMeasurementsError
 from gsmloc.geometry import Point3, TowerSite, distance
-from gsmloc.simulator import MOBILE_ID, Event, EventKind, RequestPacket, ScenarioConfig
+from gsmloc.simulator import MOBILE_ID, Event, EventKind, Exchange, RequestPacket, ScenarioConfig
 from gsmloc.timing import TimingModel, distance_from_turnaround, percent_error, quantize
 from gsmloc.trilateration import NONNEGATIVE, LocationFix, RangeMeasurement, solve_position
 
@@ -186,3 +195,47 @@ def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3)
             pct = f"{percent_error(actual, m.range_m):.2f}"
         lines.append(f"{m.tower.id},{m.turnaround:.9e},{m.range_m:.3f},{actual:.3f},{pct}")
     return "\n".join(lines) + "\n"
+
+
+def picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) -> tuple[list[int], list[int], tuple[Event, ...]]:
+    """One trial's (arrived slots, ack slots, events) from exchange, picked with lists in config order.
+
+    The config order of the table's events is read back from their tower ids
+    and kinds, not from the table's slot arrays: event j is the request to
+    config.towers[j % n], or its ack if j >= n.
+    """
+    n = len(config.towers)
+    index = {tower.id: i for i, tower in enumerate(config.towers)}
+    order = [index[e.tower_id] + n * e.kind for e in exchange.events]
+    arrival_order = [j for j in order if j < n]
+    loss = config.packet_loss
+    if loss > 0.0:
+        rng = np.random.default_rng([config.rng_seed, trial_index])
+        # keep[j] for event j in config order: the request to tower j % n, or its ack if j >= n.
+        keep = (rng.random(n) >= loss).tolist()
+        requests = list(compress(arrival_order, map(keep.__getitem__, arrival_order)))
+        keep += repeat(False, n)
+        for i in compress(requests, (rng.random(len(requests)) >= loss).tolist()):
+            keep[n + i] = True
+        arrived = list(compress(range(2 * n), map(keep.__getitem__, order)))
+        events = tuple(map(exchange.events.__getitem__, arrived))
+    else:
+        arrived = list(range(len(exchange.events)))
+        events = exchange.events
+    # An event's kind is truthy exactly for an ack (ACK_ARRIVES is 1).
+    acked = list(compress(arrived, map(attrgetter("kind"), events)))
+    return arrived, acked, events
+
+
+def picked_first_k_acks(config: ScenarioConfig, events: tuple[Event, ...], k: int) -> list[RangeMeasurement]:
+    """The first k acks of picked events, each converted afresh from its event and the config's tower."""
+    acks = list(islice(filter(attrgetter("kind"), events), k))
+    if len(acks) < k:
+        raise InsufficientMeasurementsError(f"trace has {len(acks)} acks, need {k}")
+    sites = {tower.id: tower for tower in config.towers}
+    timing = config.timing
+    measurements = []
+    for event in acks:
+        turnaround = quantize(event.time, timing.clock_resolution) - event.payload.timestamp
+        measurements.append(RangeMeasurement(sites[event.tower_id], turnaround, distance_from_turnaround(turnaround, timing)))
+    return measurements

@@ -7,17 +7,18 @@ Run from the repository root:
 The config is built as ``simulate`` builds it; its ``trials`` field is not
 read. A warm-up trial (index 0) builds the config's exchange table, and
 trials 1 to N are timed. The stages are the calls ``run_scenario`` and
-``simulate`` make, in their order: pick (the trial's loss draws and
-surviving slots), ``first_k_acks`` (the first three), solve (the table's fix
-memo, which calls ``solve_position`` on a miss), ``format_trace`` and
-``measurement_csv`` (with ``first_k_acks`` over every ack, which it
-renders). The table gives each stage's median wall time in milliseconds
-over the timed trials, and their sum. Below solve, ``solve.hit`` and
-``solve.miss`` give the median over the trials whose first three slots an
-earlier trial had, or had not, read, and how many trials each counts. A
-trial that raises (fewer than 3 acks, a collinear first three, a range
-that fails to convert) is counted under ``no_fix`` and adds no time to any
-median.
+``simulate`` make, in their order: pick (the trial's ``default_rng``, its
+loss draws and its surviving slots), ``first_k_acks`` (the first three),
+solve (the table's fix memo, which calls ``solve_position`` on a miss),
+``format_trace`` and ``measurement_csv`` (with ``first_k_acks`` over every
+ack, which it renders; as in ``simulate``, the ack count is the length of
+the trace's ack slots, ``Trace.acked``). The table gives each stage's
+median wall time in milliseconds over the timed trials, and their sum.
+Below solve, ``solve.hit`` and ``solve.miss`` give the median over the
+trials whose first three slots an earlier trial had, or had not, read, and
+how many trials each counts. A trial that raises (fewer than 3 acks, a
+collinear first three, a range that fails to convert) is counted under
+``no_fix`` and adds no time to any median.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from pathlib import Path
 
 from gsmloc import cli, simulator
 from gsmloc.errors import GsmlocError
-from gsmloc.simulator import EventKind
 
 STAGES = ("pick", "first_k_acks", "solve", "format_trace", "measurement_csv")
 
@@ -53,8 +53,7 @@ def one_trial(config: simulator.ScenarioConfig, trial_index: int) -> dict[str, f
     timed("format_trace", simulator.format_trace, trace)
 
     def render():
-        n_acks = sum(1 for e in trace.events if e.kind is EventKind.ACK_ARRIVES)
-        return simulator.measurement_csv(simulator.first_k_acks(trace, n_acks), config.mobile_true_position)
+        return simulator.measurement_csv(simulator.first_k_acks(trace, len(trace.acked)), config.mobile_true_position)
 
     timed("measurement_csv", render)
     return times
