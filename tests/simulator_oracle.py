@@ -9,11 +9,12 @@ measurements, fix and rendered trace, or raise the same error.
 row afresh; ``gsmloc.simulator.measurement_csv`` must give the same text.
 
 ``picked_trace`` is the list-based loss pick that ``_picked_trace`` ran
-before it drew a trial's losses into exchange-table slots with numpy, and
-``picked_first_k_acks`` is the ``first_k_acks`` that read its ack slots by
-scanning the picked events' kinds. Both take the table the simulator
-built, and must give the same slots, the very same ``Event`` objects and
-the same ranges.
+before it drew a trial's losses into exchange-table slots with numpy; it
+picks from the table the simulator built, and the simulator must pick the
+same slots and the very same ``Event`` objects. ``picked_first_k_acks``
+finds the first k acks by scanning the picked events' kinds, as
+``first_k_acks`` once did, and converts each afresh; ``first_k_acks`` must
+give the same ranges, or raise the same error.
 """
 
 from __future__ import annotations
@@ -197,7 +198,9 @@ def measurement_csv(measurements: list[RangeMeasurement], true_position: Point3)
     return "\n".join(lines) + "\n"
 
 
-def picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) -> tuple[list[int], list[int], tuple[Event, ...]]:
+def picked_trace(
+    config: ScenarioConfig, exchange: Exchange, trial_index: int
+) -> tuple[list[int], list[int], tuple[Event, ...]]:
     """One trial's (arrived slots, ack slots, events) from exchange, picked with lists in config order.
 
     The config order of the table's events is read back from their tower ids
@@ -237,5 +240,6 @@ def picked_first_k_acks(config: ScenarioConfig, events: tuple[Event, ...], k: in
     measurements = []
     for event in acks:
         turnaround = quantize(event.time, timing.clock_resolution) - event.payload.timestamp
-        measurements.append(RangeMeasurement(sites[event.tower_id], turnaround, distance_from_turnaround(turnaround, timing)))
+        range_m = distance_from_turnaround(turnaround, timing)
+        measurements.append(RangeMeasurement(sites[event.tower_id], turnaround, range_m))
     return measurements
