@@ -27,16 +27,18 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import __version__, ingest
 from .errors import (
     ConfigError,
     DegenerateGeometryError,
@@ -113,24 +115,85 @@ def config_digest(payload) -> str:
 
 def _read_input(path: Path) -> bytes:
     """The file's bytes, with "\\r\\n" and a lone "\\r" read as "\\n": the
-    UTF-8 encoding of the text ``Path.read_text`` reads. A file that is not
-    UTF-8 is rejected, not decoded with replacements: analyze-log digests
-    these bytes, and the other commands decode them.
+    UTF-8 encoding of the text ``Path.read_text`` reads, joined from
+    _read_chunks. A file that is not UTF-8 is rejected, not decoded with
+    replacements: locate and simulate decode these bytes."""
+    return b"".join(_read_chunks(path))
 
-    Only bytes that are not all ASCII are decoded, to check them, and the
-    line ends are translated only when a "\\r" occurs. A "\\r" is never
-    part of a multi-byte UTF-8 character, so they translate on the bytes as
-    on the text.
+
+def _read_chunks(path: Path) -> Iterator[bytes]:
+    """The bytes _read_input returns, in pieces that each end at a "\\n"
+    but the last, which may not; no piece is empty.
+
+    The file is read in blocks of ``ingest.CHUNK_CHARS`` bytes, so that a
+    block's worth is held at a time, with the text after a block's last
+    line break carried into the next piece. A "\\r" is never part of a
+    multi-byte UTF-8 character, so line ends translate on the bytes as on
+    the text; a block that ends in "\\r" keeps it back until the next one
+    shows whether a "\\n" follows. Only a block that is not all ASCII, or
+    that follows a character the last block cut, is decoded, to check it,
+    by an incremental decoder. A file that is not UTF-8 raises the
+    ConfigError _read_input raises, naming the position in the file that
+    ``read_text``'s error names.
     """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # the file position of the block
+    held = b""  # a "\\r" that ended the last block
+    carry: list[bytes | memoryview] = []  # the bytes after the last line break yielded
     try:
-        data = path.read_bytes()
-        if not data.isascii():
-            data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        with path.open("rb") as file:
+            while True:
+                block = file.read(ingest.CHUNK_CHARS)
+                cut = decoder.getstate()[0]
+                if cut or not block.isascii():
+                    try:
+                        decoder.decode(block, final=not block)
+                    except UnicodeDecodeError as exc:
+                        raise ConfigError(f"cannot read {path}: {_in_file(exc, offset - len(cut))}") from exc
+                if not block:
+                    break
+                offset += len(block)
+                data = held + block
+                held = b"\r" if data.endswith(b"\r") else b""
+                if held:
+                    data = data[:-1]
+                if b"\r" in data:
+                    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                end = data.rfind(b"\n") + 1
+                if not end:
+                    carry.append(data)
+                    continue
+                carry.append(memoryview(data)[:end])
+                piece = b"".join(carry)
+                carry = [data[end:]]
+                # Only the piece is held while it is parsed.
+                del block, data
+                yield piece
+            if held:
+                carry.append(b"\n")
+            last = b"".join(carry)
+            if last:
+                yield last
+    except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return data
+
+
+def _hashed(pieces: Iterator[bytes], digest) -> Iterator[bytes]:
+    """The pieces, each added to digest as it passes."""
+    for piece in pieces:
+        digest.update(piece)
+        yield piece
+
+
+def _in_file(exc: UnicodeDecodeError, offset: int) -> str:
+    """exc's message as a decode of the whole file words it, exc.object
+    starting offset bytes into the file."""
+    start, end = offset + exc.start, offset + exc.end
+    if exc.end == exc.start + 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{end - 1}"
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
 def _integer(mapping: dict, key: str, default: int) -> int:
@@ -315,10 +378,12 @@ def cmd_analyze_log(args) -> Run:
             check_kernel_delay(args.baseline)
         except ValueError as exc:
             raise ConfigError(f"--baseline: {exc}") from exc
-    data = _read_input(args.log)
+    digest = hashlib.sha256()
     warnings: list[str] = []
-    records = parse_ping_log(data, warnings)
+    # The capture is read, hashed and parsed a piece at a time, never held whole.
+    records = parse_ping_log(_hashed(_read_chunks(args.log), digest), warnings)
     samples = pair_rtts(records)
+    del records
     if not samples.valid.any():
         raise EmptyDataError("no valid request/reply pairs in log")
 
@@ -331,7 +396,7 @@ def cmd_analyze_log(args) -> Run:
         files["propagation.csv"] = propagation_csv(samples, args.baseline)
 
     digest_payload = {
-        "log_sha256": hashlib.sha256(data).hexdigest(),
+        "log_sha256": digest.hexdigest(),
         "baseline": args.baseline,
     }
     return Run(digest_payload, files, files["stats.txt"])

@@ -24,11 +24,14 @@ malformed.
 
 ``parse_ping_log`` reads a capture in chunks of about ``CHUNK_CHARS``
 bytes (characters of text), each ending at a "\\n" and read as UTF-8
-bytes. Every line break is first written as "\\n": a chunk holding a
-non-ASCII byte or another line break is decoded, split by ``splitlines``
-and joined by "\\n", so that its "\\n" lines are the lines ``splitlines``
-gives; a "\\n" never falls inside a UTF-8 character, so each chunk decodes
-on its own. Each chunk's bytes, copied after a padding, are read as numpy
+bytes. A capture may also come as an iterable of pieces of its bytes,
+each ending at a "\\n", as ``analyze-log`` reads a file a block at a
+time; each piece is then a chunk, so the capture is never held whole.
+Every line break is first written as "\\n": a chunk holding a non-ASCII
+byte or another line break is decoded, split by ``splitlines`` and
+joined by "\\n", so that its "\\n" lines are the lines ``splitlines``
+gives; a "\\n" never falls inside a UTF-8 character, so each chunk
+decodes on its own. Each chunk's bytes, copied after a padding, are read as numpy
 columns. Separator transitions give the token starts and ends, and the
 newlines the lines; 8n tokens, each line's first after its start and each
 eighth before its end, show that every line has 8 tokens. Seq and stamp
@@ -75,7 +78,7 @@ copied into one text matrix, each freed once it is copied.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -295,13 +298,17 @@ def format_ping_record(record: PingRecord) -> str:
     )
 
 
-def parse_ping_log(capture: str | bytes, warnings: list[str] | None = None) -> PingLog:
+def parse_ping_log(capture: str | bytes | Iterable[bytes], warnings: list[str] | None = None) -> PingLog:
     """Parse a whole trace, one record per well-formed line, order preserved.
 
     The trace is text or its UTF-8 bytes, which parse alike: text is
-    encoded a chunk at a time. Every line break is first written as "\\n",
-    and a line with a control byte but tab, a DEL or a non-ASCII byte goes
-    alone through ``parse_ping_record``. Malformed lines are skipped, never
+    encoded a chunk at a time. It may also come as an iterable of pieces
+    of its bytes, each ending at a "\\n" but the last and none empty, as
+    a file is read a block at a time: each piece is parsed as one chunk,
+    so only a piece's worth of the trace is held at once, and the result
+    is that of the joined bytes. Every line break is first written as
+    "\\n", and a line with a control byte but tab, a DEL or a non-ASCII
+    byte goes alone through ``parse_ping_record``. Malformed lines are skipped, never
     fatal; pass a list as ``warnings`` to collect a message per skipped
     line, numbered as ``splitlines`` numbers it. Blank lines are ignored.
     """
@@ -309,9 +316,11 @@ def parse_ping_log(capture: str | bytes, warnings: list[str] | None = None) -> P
     parts: tuple[list[np.ndarray], ...] = ([_NO_INTS], [_NO_INTS], [_NO_INTS], [_NO_BOOLS])
     path_ids: dict[tuple[str, str], int] = {}
     lines_before = 0
-    for chunk in _chunks(capture):
+    for chunk in _chunks(capture) if isinstance(capture, (str, bytes)) else capture:
         if isinstance(chunk, str):
             chunk = chunk.encode("utf-8", "surrogatepass")
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"
         columns = _chunk_columns(_lf_lines(chunk))
         records = []
         for index, line in columns.odd_lines:
@@ -341,9 +350,9 @@ def parse_ping_log(capture: str | bytes, warnings: list[str] | None = None) -> P
 
 def _chunks(capture: str | bytes) -> Iterator[str | bytes]:
     """The text or bytes in pieces of about CHUNK_CHARS characters or bytes,
-    each ending at a "\\n"; a last piece without one gets one, which
-    splitlines ignores. A "\\r\\n" never straddles two pieces, so the pieces'
-    splitlines lines are the capture's."""
+    each ending at a "\\n" but the last, which parse_ping_log ends with one
+    that splitlines ignores. A "\\r\\n" never straddles two pieces, so the
+    pieces' splitlines lines are the capture's."""
     newline = "\n" if isinstance(capture, str) else b"\n"
     start = 0
     while start < len(capture):
@@ -352,8 +361,7 @@ def _chunks(capture: str | bytes) -> Iterator[str | bytes]:
             or capture.find(newline, start + CHUNK_CHARS) + 1
             or len(capture)
         )
-        chunk = capture[start:end]
-        yield chunk if chunk.endswith(newline) else chunk + newline
+        yield capture[start:end]
         start = end
 
 

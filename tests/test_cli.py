@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from parsing_oracle import parse_ping_log as oracle_parse_ping_log
 
-from gsmloc import cli
+from gsmloc import cli, ingest
 from gsmloc.cli import main
-from gsmloc.ingest import MISSING_REPLY, NEGATIVE
+from gsmloc.ingest import MISSING_REPLY, NEGATIVE, REPLY, REQUEST, PingRecord, format_ping_record
 
 HEX_CONFIG = {
     "towers": {"hex": {"center": [0, 0, 0], "radius": 500.0, "rings": 1}},
@@ -632,13 +633,42 @@ class TestAnalyzeLog:
         spy("pair_rtts")
         log = golden_dir.parent / "odd_lines_capture.log"
         assert main(["analyze-log", str(log), "-o", str(tmp_path / "out")]) == 0
-        [((data, warnings), records)] = results["parse_ping_log"]
+        [((_, warnings), records)] = results["parse_ping_log"]
         [(_, samples)] = results["pair_rtts"]
-        text = data.decode()
+        # parse_ping_log reads the capture from an iterator of its pieces, spent by now.
+        text = log.read_text()
         assert len(records) == len(oracle_parse_ping_log(text)) == 23
         assert len(records) + len(warnings) == sum(1 for line in text.splitlines() if line.strip())
         flags = [(s.valid, s.anomaly) for s in samples]
         assert flags == [(True, None)] * 10 + [(False, NEGATIVE), (False, MISSING_REPLY)]
+
+
+# analyze-log's traced peak on a capture of about 8 MB, at most this many
+# bytes per byte of the capture. The capture is read, hashed and parsed a
+# piece at a time, and its parsed log dropped once it is paired, so the
+# peak is pairing's and rendering's, about 1.7 bytes per capture byte. A
+# run that holds the capture's bytes whole peaks at about 2.7.
+PEAK_PER_CAPTURE_BYTE = 2.2
+
+
+def test_analyze_log_peak_memory_is_a_fraction_of_the_capture_held_whole(tmp_path, capsys):
+    mobile, towers = "169.254.118.52", [f"169.254.65.{k}" for k in range(4)]
+    path = tmp_path / "capture.log"
+    with path.open("w") as capture:
+        for i in range(57_000):
+            tower, sent = towers[i % 4], i * 250_000
+            capture.write(format_ping_record(PingRecord(2 * i, sent, mobile, tower, REQUEST)) + "\n")
+            capture.write(format_ping_record(PingRecord(2 * i + 1, sent + 600 + i % 97, tower, mobile, REPLY)) + "\n")
+    size = path.stat().st_size
+    assert 7.5e6 < size < 8.5e6
+    tracemalloc.start()
+    try:
+        assert main(["analyze-log", str(path), "--baseline", "0.0005", "-o", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("count 57000\n")
+    assert peak < PEAK_PER_CAPTURE_BYTE * size, f"peak {peak / size:.2f} bytes per capture byte"
 
 
 class TestFeasibility:
@@ -694,20 +724,28 @@ class TestFeasibility:
 # Each command's input: valid text, then the bytes ff fe, which are not UTF-8.
 NOT_UTF8 = {
     "analyze-log": (
+        "analyze-log",
         b"1\t1.000000\t10.0.0.1\t10.0.0.2\tICMP\tEcho (ping) request\n"
         b"2\t1.000700\t10.0.0.2\t10.0.0.1\tICMP\tEcho (ping) reply\n"
-        b"\xff\xfe junk\n"
+        b"\xff\xfe junk\n",
     ),
-    "locate": b"0 0 0 0 1\n1 10 0 0 1\n2 0 10 0 1\n# \xff\xfe\n",
-    "simulate": json.dumps(HEX_CONFIG).encode()[:-1] + b', "note": "\xff\xfe"}',
+    # 300 KiB of valid lines first: the capture's first pieces are parsed before the bad bytes are read.
+    "analyze-log-after-300k": (
+        "analyze-log",
+        b"1\t1.000000\t10.0.0.1\t10.0.0.2\tICMP\tEcho (ping) request\n" * (300 * 1024 // 50)
+        + b"\xff\xfe junk\n",
+    ),
+    "locate": ("locate", b"0 0 0 0 1\n1 10 0 0 1\n2 0 10 0 1\n# \xff\xfe\n"),
+    "simulate": ("simulate", json.dumps(HEX_CONFIG).encode()[:-1] + b', "note": "\xff\xfe"}'),
 }
 
 
-@pytest.mark.parametrize("command", sorted(NOT_UTF8))
-def test_non_utf8_input_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_non_utf8_input_exit_2(tmp_path, capsys, name):
     # Rejected, not decoded with replacements: analyze-log digests the text.
+    command, data = NOT_UTF8[name]
     path = tmp_path / "input"
-    path.write_bytes(NOT_UTF8[command])
+    path.write_bytes(data)
     out = tmp_path / "out"
     assert main([command, str(path), "-o", str(out)]) == 2
     captured = capsys.readouterr()
@@ -725,14 +763,16 @@ READ_INPUTS = {
     "non-ascii": "²  x\r\né\r".encode(),
     "empty": b"",
     "bad-byte-late": b"x\r\n" * 5000 + b"\xff\r\n",
+    # Past the first block of ingest.CHUNK_CHARS bytes, so the error counts the blocks before it.
+    "bad-byte-past-first-chunk": b"x\r\n" * 100_000 + b"\xff\r\n",
     "truncated": b"a\r\n\xc3",
 }
 
 
-@pytest.mark.parametrize("name", sorted(READ_INPUTS))
-def test_read_input_reads_like_read_text(tmp_path, name):
-    path = tmp_path / name
-    path.write_bytes(READ_INPUTS[name])
+def check_reads_like_read_text(path):
+    """_read_chunks' pieces join to the UTF-8 of path.read_text(), each but
+    the last ending at a line break and none empty; where read_text raises,
+    _read_input raises a ConfigError naming the same error."""
     try:
         expected = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -740,7 +780,36 @@ def test_read_input_reads_like_read_text(tmp_path, name):
             cli._read_input(path)
         assert str(raised.value) == f"cannot read {path}: {exc}"
     else:
-        assert cli._read_input(path) == expected.encode()
+        pieces = list(cli._read_chunks(path))
+        assert b"".join(pieces) == expected.encode()
+        assert all(piece.endswith(b"\n") for piece in pieces[:-1])
+        assert all(pieces)
+
+
+@pytest.mark.parametrize("name", sorted(READ_INPUTS))
+def test_read_input_reads_like_read_text(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(READ_INPUTS[name])
+    check_reads_like_read_text(path)
+
+
+# Line ends, ASCII text, multi-byte characters, a BOM, and bytes that are not UTF-8.
+READ_PARTS = st.one_of(
+    st.sampled_from([b"\n", b"\r\n", b"\r", "é".encode(), "€".encode(), "😀".encode(), b"\xef\xbb\xbf"]),
+    st.text(st.characters(max_codepoint=0x7E, exclude_characters="\r\n"), max_size=6).map(str.encode),
+    st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xe2\x82", b"\xed\xa0\x80"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.lists(READ_PARTS, max_size=40).map(b"".join), chunk_chars=st.integers(1, 64))
+def test_read_chunks_reads_like_read_text_at_any_block_size(tmp_path_factory, data, chunk_chars):
+    # Blocks of 1 to 64 bytes end inside \r\n pairs and multi-byte characters.
+    path = tmp_path_factory.mktemp("read") / "input"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "CHUNK_CHARS", chunk_chars)
+        check_reads_like_read_text(path)
 
 
 # A request and its reply, so that analyze-log writes a manifest.

@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from warnings import catch_warnings, simplefilter
 
@@ -408,6 +409,20 @@ class TestParsing:
         assert from_bytes == from_text
         assert from_bytes.paths == from_text.paths
         assert bytes_warnings == text_warnings
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(trace_texts(), long_trace_texts().map(itemgetter(1))), st.data())
+    def test_pieces_parse_like_their_joined_bytes(self, text, data):
+        # Pieces that each end at a "\n" but the last, as analyze-log reads a file.
+        capture = text.encode()
+        ends = [i + 1 for i, byte in enumerate(capture) if byte == ord("\n")]
+        cuts = sorted(data.draw(st.sets(st.sampled_from(ends))) if ends else ())
+        pieces = [capture[a:b] for a, b in zip([0, *cuts], [*cuts, len(capture)]) if a < b]
+        from_bytes, bytes_warnings = parse_strictly(capture)
+        from_pieces, pieces_warnings = parse_strictly(iter(pieces))
+        assert from_pieces == from_bytes
+        assert from_pieces.paths == from_bytes.paths
+        assert pieces_warnings == bytes_warnings
 
     @settings(max_examples=300, deadline=None)
     @given(placed_tokens(word_tokens(24)))

@@ -12,7 +12,7 @@ _spec = importlib.util.spec_from_file_location("stage_times", ROOT / "tools" / "
 stage_times = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(stage_times)
 
-STAGES = ["read", "parse", "pair", "rtt_csv", "stats", "discrepancies", "sha256", "write"]
+STAGES = ["read+parse", "pair", "rtt_csv", "stats", "discrepancies", "write"]
 
 
 @pytest.fixture
@@ -31,8 +31,11 @@ def test_prints_each_stage_and_the_total(capture, capsys, baseline):
     argv = [str(capture), "--rounds", "2"] + ([] if baseline is None else ["--baseline", str(baseline)])
     assert stage_times.main(argv) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    expected = STAGES if baseline is None else STAGES[:6] + ["propagation_csv"] + STAGES[6:]
+    expected = STAGES if baseline is None else STAGES[:5] + ["propagation_csv"] + STAGES[5:]
     assert [row[0] for row in rows] == expected + ["total"]
-    assert all(row[2] == "ms" and float(row[1]) >= 0 for row in rows)
+    # name, median ms, "ms", traced peak, "MB", "peak"
+    assert all(row[2] == "ms" and float(row[1]) >= 0 and row[4:] == ["MB", "peak"] for row in rows)
+    assert all(float(row[3]) > 0 for row in rows)
     total = float(rows[-1][1])
     assert total == pytest.approx(sum(float(row[1]) for row in rows[:-1]), abs=0.01)
+    assert float(rows[-1][3]) == max(float(row[3]) for row in rows[:-1])
