@@ -132,9 +132,9 @@ def _read_chunks(path: Path) -> Iterator[bytes]:
     the text; a block that ends in "\\r" keeps it back until the next one
     shows whether a "\\n" follows. Only a block that is not all ASCII, or
     that follows a character the last block cut, is decoded, to check it,
-    by an incremental decoder. A file that is not UTF-8 raises the
-    ConfigError _read_input raises, naming the position in the file that
-    ``read_text``'s error names.
+    by an incremental decoder. A file that cannot be read or is not UTF-8
+    raises ConfigError, a decode error naming the position in the file
+    that ``read_text``'s error names.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     offset = 0  # the file position of the block

@@ -31,10 +31,10 @@ Every line break is first written as "\\n": a chunk holding a non-ASCII
 byte or another line break is decoded, split by ``splitlines`` and
 joined by "\\n", so that its "\\n" lines are the lines ``splitlines``
 gives; a "\\n" never falls inside a UTF-8 character, so each chunk
-decodes on its own. Each chunk's bytes, copied after a padding, are read as numpy
-columns. Separator transitions give the token starts and ends, and the
-newlines the lines; 8n tokens, each line's first after its start and each
-eighth before its end, show that every line has 8 tokens. Seq and stamp
+decodes on its own. Each chunk's bytes, copied after a padding, are read
+as numpy columns. Separator transitions give the token starts and ends,
+and the newlines the lines; 8n tokens, each line's first after its start
+and each eighth before its end, show that every line has 8 tokens. Seq and stamp
 are read from an unaligned little-endian uint64 view of the chunk, 8 bytes
 a word from each token's end, the bytes before the token read as "0": each
 word is checked to be 8 digits and folded to its value in three
@@ -308,9 +308,10 @@ def parse_ping_log(capture: str | bytes | Iterable[bytes], warnings: list[str] |
     so only a piece's worth of the trace is held at once, and the result
     is that of the joined bytes. Every line break is first written as
     "\\n", and a line with a control byte but tab, a DEL or a non-ASCII
-    byte goes alone through ``parse_ping_record``. Malformed lines are skipped, never
-    fatal; pass a list as ``warnings`` to collect a message per skipped
-    line, numbered as ``splitlines`` numbers it. Blank lines are ignored.
+    byte goes alone through ``parse_ping_record``. Malformed lines are
+    skipped, never fatal; pass a list as ``warnings`` to collect a message
+    per skipped line, numbered as ``splitlines`` numbers it. Blank lines
+    are ignored.
     """
     # Each column's pieces, a chunk's worth each, joined at the end.
     parts: tuple[list[np.ndarray], ...] = ([_NO_INTS], [_NO_INTS], [_NO_INTS], [_NO_BOOLS])
