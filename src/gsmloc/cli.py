@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import hashlib
+import io
 import json
 import math
 import os
@@ -113,69 +114,56 @@ def config_digest(payload) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _read_input(path: Path) -> bytes:
-    """The file's bytes, with "\\r\\n" and a lone "\\r" read as "\\n": the
-    UTF-8 encoding of the text ``Path.read_text`` reads, joined from
-    _read_chunks. A file that is not UTF-8 is rejected, not decoded with
-    replacements: locate and simulate decode these bytes."""
-    return b"".join(_read_chunks(path))
+def _read_input(path: Path) -> str:
+    """The file's text as ``Path.read_text`` reads it as UTF-8, "\\r\\n" and
+    a lone "\\r" read as "\\n". A file that cannot be read or is not UTF-8
+    raises ConfigError with read_text's error: it is rejected, not decoded
+    with replacements."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_chunks(path: Path) -> Iterator[bytes]:
-    """The bytes _read_input returns, in pieces that each end at a "\\n"
-    but the last, which may not; no piece is empty.
+    """The UTF-8 of the text _read_input returns, in pieces that each end at
+    a "\\n" but the last, which may not; no piece is empty.
 
     The file is read in blocks of ``ingest.CHUNK_CHARS`` bytes, so that a
-    block's worth is held at a time, with the text after a block's last
-    line break carried into the next piece. A "\\r" is never part of a
-    multi-byte UTF-8 character, so line ends translate on the bytes as on
-    the text; a block that ends in "\\r" keeps it back until the next one
-    shows whether a "\\n" follows. Only a block that is not all ASCII, or
-    that follows a character the last block cut, is decoded, to check it,
-    by an incremental decoder. A file that cannot be read or is not UTF-8
-    raises ConfigError, a decode error naming the position in the file
-    that ``read_text``'s error names.
+    block's worth is held at a time. Each block goes through the decoders
+    ``read_text`` decodes with: the io module's newline decoder, which reads
+    "\\r\\n" and a lone "\\r" as "\\n", over an incremental UTF-8 decoder.
+    The text after a block's last line break is carried into the next piece.
+    A file that cannot be read raises ConfigError. On a decode error the
+    file is read once more, whole, by _read_input, so that the ConfigError
+    names the position in the file that ``read_text``'s error names.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    offset = 0  # the file position of the block
-    held = b""  # a "\\r" that ended the last block
-    carry: list[bytes | memoryview] = []  # the bytes after the last line break yielded
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    carry: list[str] = []  # the text after the last line break yielded
     try:
         with path.open("rb") as file:
-            while True:
-                block = file.read(ingest.CHUNK_CHARS)
-                cut = decoder.getstate()[0]
-                if cut or not block.isascii():
-                    try:
-                        decoder.decode(block, final=not block)
-                    except UnicodeDecodeError as exc:
-                        raise ConfigError(f"cannot read {path}: {_in_file(exc, offset - len(cut))}") from exc
-                if not block:
-                    break
-                offset += len(block)
-                data = held + block
-                held = b"\r" if data.endswith(b"\r") else b""
-                if held:
-                    data = data[:-1]
-                if b"\r" in data:
-                    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                end = data.rfind(b"\n") + 1
+            while block := file.read(ingest.CHUNK_CHARS):
+                text = decoder.decode(block)
+                end = text.rfind("\n") + 1
                 if not end:
-                    carry.append(data)
+                    carry.append(text)
                     continue
-                carry.append(memoryview(data)[:end])
-                piece = b"".join(carry)
-                carry = [data[end:]]
+                carry.append(text[:end])
+                piece = "".join(carry).encode()
+                carry = [text[end:]]
                 # Only the piece is held while it is parsed.
-                del block, data
+                del block, text
                 yield piece
-            if held:
-                carry.append(b"\n")
-            last = b"".join(carry)
-            if last:
-                yield last
+            carry.append(decoder.decode(b"", final=True))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        _read_input(path)
+        # The file changed since it was streamed: name the streamed error.
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    last = "".join(carry).encode()
+    if last:
+        yield last
 
 
 def _hashed(pieces: Iterator[bytes], digest) -> Iterator[bytes]:
@@ -183,17 +171,6 @@ def _hashed(pieces: Iterator[bytes], digest) -> Iterator[bytes]:
     for piece in pieces:
         digest.update(piece)
         yield piece
-
-
-def _in_file(exc: UnicodeDecodeError, offset: int) -> str:
-    """exc's message as a decode of the whole file words it, exc.object
-    starting offset bytes into the file."""
-    start, end = offset + exc.start, offset + exc.end
-    if exc.end == exc.start + 1:
-        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
-    else:
-        where = f"bytes in position {start}-{end - 1}"
-    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
 def _integer(mapping: dict, key: str, default: int) -> int:
@@ -249,8 +226,9 @@ def load_scenario_config(path: Path) -> tuple[ScenarioConfig, dict]:
     hex_cell_layout's and ScenarioConfig's to check; their errors reach the
     caller as ConfigError.
     """
-    # Decoded first: json.loads would drop a UTF-8 BOM from bytes, and rejects one in text.
-    text = _read_input(path).decode("utf-8")
+    # Read as text, which keeps a UTF-8 BOM as "\ufeff": json.loads rejects
+    # it, where from bytes it would drop it.
+    text = _read_input(path)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -338,7 +316,7 @@ def _load_locate_rows(path: Path) -> list[tuple[int, float, float, float, float]
     id, or a repeated id.
     """
     rows, seen = [], set()
-    for line in _read_input(path).decode("utf-8").splitlines():
+    for line in _read_input(path).splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -469,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_all(out_dir: Path, files: dict[str, str]) -> None:
-    """Write files (name to content) into out_dir, all of them or, on error, none.
+    """Write files (name to content) into out_dir as UTF-8, all of them or, on error, none.
 
     Every file goes to a temporary name first; the renames start only once
     every write has succeeded. On an OSError the temporary files are removed
@@ -480,7 +458,7 @@ def _write_all(out_dir: Path, files: dict[str, str]) -> None:
         for name, content in files.items():
             temporary = out_dir / f".{name}.{os.getpid()}.tmp"
             staged.append((temporary, out_dir / name))
-            temporary.write_text(content)
+            temporary.write_text(content, encoding="utf-8")
         for temporary, final in staged:
             temporary.replace(final)
     except OSError:

@@ -248,6 +248,15 @@ class TestSimulate:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json"), "-o", str(tmp_path)]) == 2
 
+    def test_config_starting_with_a_bom_exit_2(self, tmp_path, capsys):
+        # The config is read as text, which keeps the BOM; json.loads rejects it there.
+        config = tmp_path / "scenario.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps(HEX_CONFIG).encode())
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {config} is not valid JSON: Unexpected UTF-8 BOM")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         config = write_config(tmp_path / "scenario.json", HEX_CONFIG)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -770,16 +779,18 @@ READ_INPUTS = {
 
 
 def check_reads_like_read_text(path):
-    """_read_chunks' pieces join to the UTF-8 of path.read_text(), each but
-    the last ending at a line break and none empty; where read_text raises,
-    _read_input raises a ConfigError naming the same error."""
+    """_read_input returns path.read_text(), and _read_chunks' pieces join to
+    its UTF-8, each but the last ending at a line break and none empty;
+    where read_text raises, both raise a ConfigError naming the same error."""
     try:
         expected = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        with pytest.raises(cli.ConfigError) as raised:
-            cli._read_input(path)
-        assert str(raised.value) == f"cannot read {path}: {exc}"
+        for read in (cli._read_input, lambda path: list(cli._read_chunks(path))):
+            with pytest.raises(cli.ConfigError) as raised:
+                read(path)
+            assert str(raised.value) == f"cannot read {path}: {exc}"
     else:
+        assert cli._read_input(path) == expected
         pieces = list(cli._read_chunks(path))
         assert b"".join(pieces) == expected.encode()
         assert all(piece.endswith(b"\n") for piece in pieces[:-1])
@@ -833,3 +844,29 @@ def test_analyze_log_digests_the_text_read_text_reads(tmp_path, name):
     log_sha256 = hashlib.sha256(path.read_text(encoding="utf-8").encode()).hexdigest()
     manifest = json.loads((out / "analyze_log_manifest.json").read_text())
     assert manifest["config_digest"] == cli.config_digest({"log_sha256": log_sha256, "baseline": None})
+
+
+def test_outputs_are_utf8_whatever_the_locale(tmp_path):
+    # A malformed line's text reaches discrepancies.txt; under the C locale
+    # an output written in the locale's encoding could not hold it.
+    log = tmp_path / "capture.log"
+    log.write_text(PAIR + "3 2.0 h\xf4st x ICMP Echo (ping) r\xe9ply\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    locales = {
+        "c": {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        "utf8": {"LC_ALL": "C.UTF-8", "LANG": "C.UTF-8", "PYTHONUTF8": "1"},
+    }
+    reports = {}
+    for name, env in locales.items():
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-m", "gsmloc.cli", "analyze-log", str(log), "-o", str(out)],
+            env=dict(os.environ, PYTHONPATH=src, **env),
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        reports[name] = (out / "discrepancies.txt").read_bytes()
+    assert reports["c"] == reports["utf8"]
+    assert "line 3: trailing token 'r\xe9ply'".encode() in reports["c"]

@@ -5,8 +5,8 @@ Run from the repository root:
     PYTHONPATH=src python3 tools/stage_times.py capture.log --baseline 0.0005
 
 The stages are the calls ``analyze-log`` makes, in its order: read+parse
-(the file read a block at a time, its line ends translated, its UTF-8
-checked, each piece added to the sha256 digest and parsed), pair,
+(the file read a block at a time and decoded, its line ends translated,
+each piece added to the sha256 digest and parsed), pair,
 ``rtt_csv``, stats (``rtt_stats`` and ``stats_summary``), discrepancies,
 ``propagation_csv`` (only with ``--baseline``) and write (the output
 files, into a temporary directory). As in ``analyze-log``, the parsed log
