@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import hashlib
-import io
 import json
 import math
 import os
@@ -37,6 +36,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__, ingest
@@ -131,39 +131,25 @@ def _read_chunks(path: Path) -> Iterator[bytes]:
 
     The file is read in blocks of ``ingest.CHUNK_CHARS`` bytes, so that a
     block's worth is held at a time. Each block goes through the decoders
-    ``read_text`` decodes with: the io module's newline decoder, which reads
-    "\\r\\n" and a lone "\\r" as "\\n", over an incremental UTF-8 decoder.
-    The text after a block's last line break is carried into the next piece.
-    A file that cannot be read raises ConfigError. On a decode error the
-    file is read once more, whole, by _read_input, so that the ConfigError
-    names the position in the file that ``read_text``'s error names.
+    ``read_text`` decodes with: an incremental UTF-8 decoder here, then the
+    io module's newline decoder in ``ingest.pieces``, which reads "\\r\\n"
+    and a lone "\\r" as "\\n" and cuts the text into pieces. A file that
+    cannot be read raises ConfigError. On a decode error, a truncated last
+    character included, the file is read once more, whole, by _read_input,
+    so that the ConfigError names the position in the file that
+    ``read_text``'s error names.
     """
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-    carry: list[str] = []  # the text after the last line break yielded
+    utf8_decoder = codecs.getincrementaldecoder("utf-8")()
     try:
         with path.open("rb") as file:
-            while block := file.read(ingest.CHUNK_CHARS):
-                text = decoder.decode(block)
-                end = text.rfind("\n") + 1
-                if not end:
-                    carry.append(text)
-                    continue
-                carry.append(text[:end])
-                piece = "".join(carry).encode()
-                carry = [text[end:]]
-                # Only the piece is held while it is parsed.
-                del block, text
-                yield piece
-            carry.append(decoder.decode(b"", final=True))
+            yield from ingest.pieces(map(utf8_decoder.decode, iter(partial(file.read, ingest.CHUNK_CHARS), b"")))
+            utf8_decoder.decode(b"", final=True)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         _read_input(path)
         # The file changed since it was streamed: name the streamed error.
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    last = "".join(carry).encode()
-    if last:
-        yield last
 
 
 def _hashed(pieces: Iterator[bytes], digest) -> Iterator[bytes]:

@@ -14,25 +14,26 @@ A parsed trace is a ``PingLog`` and a paired one an ``RttTable``: numpy
 columns, one per field (int64, bool, and a uint8 anomaly code), so a
 capture stays in arrays from parse to render. ``parse_ping_log`` alone
 builds a ``PingLog``, which ``pair_rtts`` takes, and ``pair_rtts`` alone
-builds an ``RttTable``, which the renderers take. Both are read-only
-sequences whose items, a ``PingRecord`` or an ``RttSample``, are built only
-when read, with Python ints, bools and ``None``, and each compares equal to
-a list of the same items. Every seq fits an int64 and every stamp lies from
-0 to ``INT64_MAX`` microseconds, so every interval fits an int64 too:
+builds an ``RttTable``, which the renderers take. An ``RttTable`` iterates
+as ``RttSample``s, built from its columns with Python ints, bools and
+``None``. Every seq fits an int64 and every stamp lies from 0 to
+``INT64_MAX`` microseconds, so every interval fits an int64 too:
 ``parse_ping_record`` calls a line with a value past either bound
 malformed.
 
-``parse_ping_log`` reads a capture in chunks of about ``CHUNK_CHARS``
-bytes (characters of text), each ending at a "\\n" and read as UTF-8
-bytes. A capture may also come as an iterable of pieces of its bytes,
-each ending at a "\\n", as ``analyze-log`` reads a file a block at a
-time; each piece is then a chunk, so the capture is never held whole.
-Every line break is first written as "\\n": a chunk holding a non-ASCII
-byte or another line break is decoded, split by ``splitlines`` and
-joined by "\\n", so that its "\\n" lines are the lines ``splitlines``
-gives; a "\\n" never falls inside a UTF-8 character, so each chunk
-decodes on its own. Each chunk's bytes, copied after a padding, are read
-as numpy columns. Separator transitions give the token starts and ends,
+A capture is parsed a piece at a time, each piece about ``CHUNK_CHARS``
+characters of its text, ending at a "\\n" and read as UTF-8 bytes.
+``pieces`` cuts text and files alike: it reads text blocks through the
+io module's newline decoder, which writes "\\r\\n" and a lone "\\r" as
+"\\n", and cuts each block after its last "\\n". ``parse_ping_log`` feeds
+it text in slices of ``CHUNK_CHARS``, and ``analyze-log`` a file's blocks
+as it decodes them, so the capture is never held whole. Every other line
+break is then written as "\\n": a chunk holding a non-ASCII byte or
+another line break is decoded, split by ``splitlines`` and joined by
+"\\n", so that its "\\n" lines are the lines ``splitlines`` gives; a
+"\\n" never falls inside a UTF-8 character, so each chunk decodes on its
+own. Each chunk's bytes, copied after a padding, are read as numpy
+columns. Separator transitions give the token starts and ends,
 and the newlines the lines; 8n tokens, each line's first after its start
 and each eighth before its end, show that every line has 8 tokens. Seq and stamp
 are read from an unaligned little-endian uint64 view of the chunk, 8 bytes
@@ -77,6 +78,7 @@ copied into one text matrix, each freed once it is copied.
 
 from __future__ import annotations
 
+import io
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -170,39 +172,9 @@ class RttSample:
     anomaly: str | None = None  # NEGATIVE or MISSING_REPLY
 
 
-class _Columns(Sequence):
-    """A read-only sequence stored as parallel numpy columns; items are built when read."""
-
-    def _items(self, rows: slice | np.ndarray) -> list:
-        """The items of the given rows, built from Python values of the columns."""
-        raise NotImplementedError
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._items(index)
-        n = len(self)
-        if not -n <= index < n:
-            raise IndexError(f"{type(self).__name__} index out of range")
-        index %= n
-        return self._items(slice(index, index + 1))[0]
-
-    def __iter__(self):
-        return iter(self._items(slice(None)))
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, _Columns)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
-
-
-@dataclass(eq=False, repr=False)
-class PingLog(_Columns):
-    """Parsed trace records as int64 and bool columns; reading item i builds its PingRecord."""
+@dataclass(eq=False)
+class PingLog:
+    """Parsed trace records as int64 and bool columns, one row per record."""
 
     seq: np.ndarray  # int64
     time_us: np.ndarray  # int64, from 0 to INT64_MAX
@@ -213,19 +185,11 @@ class PingLog(_Columns):
     def __len__(self) -> int:
         return len(self.seq)
 
-    def _items(self, rows) -> list[PingRecord]:
-        paths = self.paths
-        return [
-            PingRecord(seq, time_us, *paths[path], REQUEST if is_request else REPLY)
-            for seq, time_us, path, is_request in zip(
-                self.seq[rows].tolist(), self.time_us[rows].tolist(), self.path[rows].tolist(), self.is_request[rows].tolist()
-            )
-        ]
 
-
-@dataclass(eq=False, repr=False)
-class RttTable(_Columns):
-    """Paired samples as int64, bool and uint8 columns; reading item i builds its RttSample."""
+@dataclass(eq=False)
+class RttTable:
+    """Paired samples as int64, bool and uint8 columns, one row per request;
+    iterating it builds each row's RttSample."""
 
     request_seq: np.ndarray  # int64
     reply_seq: np.ndarray  # int64, 0 where not replied
@@ -237,7 +201,11 @@ class RttTable(_Columns):
     def __len__(self) -> int:
         return len(self.request_seq)
 
-    def _items(self, rows) -> list[RttSample]:
+    def __iter__(self) -> Iterator[RttSample]:
+        return iter(self._items(slice(None)))
+
+    def _items(self, rows: slice | np.ndarray) -> list[RttSample]:
+        """The samples of the given rows, built from Python values of the columns."""
         return [
             RttSample(request_seq, reply_seq if replied else None, rtt_us if replied else None, valid, ANOMALIES[anomaly])
             for request_seq, reply_seq, rtt_us, replied, valid, anomaly in zip(
@@ -298,28 +266,28 @@ def format_ping_record(record: PingRecord) -> str:
     )
 
 
-def parse_ping_log(capture: str | bytes | Iterable[bytes], warnings: list[str] | None = None) -> PingLog:
+def parse_ping_log(capture: str | Iterable[bytes], warnings: list[str] | None = None) -> PingLog:
     """Parse a whole trace, one record per well-formed line, order preserved.
 
-    The trace is text or its UTF-8 bytes, which parse alike: text is
-    encoded a chunk at a time. It may also come as an iterable of pieces
-    of its bytes, each ending at a "\\n" but the last and none empty, as
-    a file is read a block at a time: each piece is parsed as one chunk,
-    so only a piece's worth of the trace is held at once, and the result
-    is that of the joined bytes. Every line break is first written as
-    "\\n", and a line with a control byte but tab, a DEL or a non-ASCII
-    byte goes alone through ``parse_ping_record``. Malformed lines are
-    skipped, never fatal; pass a list as ``warnings`` to collect a message
-    per skipped line, numbered as ``splitlines`` numbers it. Blank lines
-    are ignored.
+    The trace is text, or an iterable of pieces of its UTF-8 bytes, each
+    ending at a "\\n" but the last and none empty, as ``pieces`` cuts a
+    file read a block at a time; text goes through ``pieces`` in slices of
+    ``CHUNK_CHARS`` characters. Each piece is parsed as one chunk, so only
+    a piece's worth of the trace is held at once, and the result is that
+    of the joined bytes. Every line break is first written as "\\n", and a
+    line with a control byte but tab, a DEL or a non-ASCII byte goes alone
+    through ``parse_ping_record``. Malformed lines are skipped, never
+    fatal; pass a list as ``warnings`` to collect a message per skipped
+    line, numbered as ``splitlines`` numbers it. Blank lines are ignored.
     """
+    chunks = capture
+    if isinstance(capture, str):
+        chunks = pieces(capture[start : start + CHUNK_CHARS] for start in range(0, len(capture), CHUNK_CHARS))
     # Each column's pieces, a chunk's worth each, joined at the end.
     parts: tuple[list[np.ndarray], ...] = ([_NO_INTS], [_NO_INTS], [_NO_INTS], [_NO_BOOLS])
     path_ids: dict[tuple[str, str], int] = {}
     lines_before = 0
-    for chunk in _chunks(capture) if isinstance(capture, (str, bytes)) else capture:
-        if isinstance(chunk, str):
-            chunk = chunk.encode("utf-8", "surrogatepass")
+    for chunk in chunks:
         if not chunk.endswith(b"\n"):
             chunk += b"\n"
         columns = _chunk_columns(_lf_lines(chunk))
@@ -349,21 +317,35 @@ def parse_ping_log(capture: str | bytes | Iterable[bytes], warnings: list[str] |
     return PingLog(*map(np.concatenate, parts), list(path_ids))
 
 
-def _chunks(capture: str | bytes) -> Iterator[str | bytes]:
-    """The text or bytes in pieces of about CHUNK_CHARS characters or bytes,
-    each ending at a "\\n" but the last, which parse_ping_log ends with one
-    that splitlines ignores. A "\\r\\n" never straddles two pieces, so the
-    pieces' splitlines lines are the capture's."""
-    newline = "\n" if isinstance(capture, str) else b"\n"
-    start = 0
-    while start < len(capture):
-        end = (
-            capture.rfind(newline, start, start + CHUNK_CHARS) + 1
-            or capture.find(newline, start + CHUNK_CHARS) + 1
-            or len(capture)
-        )
-        yield capture[start:end]
-        start = end
+def pieces(blocks: Iterable[str]) -> Iterator[bytes]:
+    """The UTF-8 of the text blocks, joined with "\\r\\n" and a lone "\\r"
+    read as "\\n", in pieces that each end at a "\\n" but the last, which
+    may not; no piece is empty.
+
+    The blocks go through the io module's newline decoder, which holds a
+    block's last "\\r" until it sees whether a "\\n" follows. Each block is
+    cut after its last "\\n", and the text after it is carried into the
+    next piece, joined once, so a piece is about a block's worth. A lone
+    surrogate is written as "surrogatepass" writes it.
+    """
+    decoder = io.IncrementalNewlineDecoder(None, translate=True)
+    carry: list[str] = []  # the text after the last line break yielded
+    for block in blocks:
+        text = decoder.decode(block)
+        end = text.rfind("\n") + 1
+        if not end:
+            carry.append(text)
+            continue
+        carry.append(text[:end])
+        piece = "".join(carry).encode("utf-8", "surrogatepass")
+        carry = [text[end:]]
+        # Only the piece is held while it is parsed.
+        del block, text
+        yield piece
+    carry.append(decoder.decode("", final=True))
+    last = "".join(carry).encode("utf-8", "surrogatepass")
+    if last:
+        yield last
 
 
 def _lf_lines(chunk: bytes) -> bytes:

@@ -8,12 +8,13 @@ from warnings import catch_warnings, simplefilter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import rendering_oracle
 from pairing_oracle import fifo_pair_rtts
 from pairing_oracle import pair_rtts as oracle_pair_rtts
 from parsing_oracle import parse_ping_log as oracle_parse_ping_log
+from parsing_oracle import records_of
 
 from gsmloc import ingest
 from gsmloc.errors import EmptyDataError
@@ -23,7 +24,6 @@ from gsmloc.ingest import (
     NEGATIVE,
     REPLY,
     REQUEST,
-    PingLog,
     PingRecord,
     RttSample,
     RttTable,
@@ -121,6 +121,13 @@ def trace_texts(draw):
     breaks = draw(st.sampled_from([["\n"], ["\n", "\r\n"], [b for b in LINE_SEPARATORS if b.isascii() or not ascii_only]]))
     separators = draw(st.lists(st.sampled_from(breaks), min_size=len(lines), max_size=len(lines)))
     return "".join(line + sep for line, sep in zip(lines, separators))
+
+
+# Text parts for ingest.pieces: line ends, ASCII text, a non-ASCII letter and a lone surrogate.
+PIECE_PARTS = st.one_of(
+    st.sampled_from(["\n", "\r\n", "\r", "\xe9", "\udcf4"]),
+    st.text(st.characters(max_codepoint=0x7E, exclude_characters="\r\n"), max_size=6),
+)
 
 
 @st.composite
@@ -355,7 +362,7 @@ class TestParsing:
         assert rec.direction == REPLY
 
     def test_empty_input(self):
-        assert parse_ping_log("") == []
+        assert records_of(parse_ping_log("")) == []
 
     def test_malformed_lines_become_warnings(self):
         text = "\n".join(
@@ -379,11 +386,10 @@ class TestParsing:
         expected_warnings = []
         expected = oracle_parse_ping_log(text, expected_warnings)
         records, warnings = parse_strictly(text)
-        assert list(records) == expected
-        assert records == expected
+        assert records_of(records) == expected
         assert records.paths == paths_of(expected)
         assert warnings == expected_warnings
-        assert parse_ping_log(text) == expected
+        assert records_of(parse_ping_log(text)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(long_trace_texts())
@@ -394,21 +400,9 @@ class TestParsing:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "CHUNK_CHARS", chunk_chars)
             records, warnings = parse_strictly(text)
-        assert records == expected
+        assert records_of(records) == expected
         assert records.paths == paths_of(expected)
         assert warnings == expected_warnings
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.tuples(st.integers(1, 300), trace_texts()), long_trace_texts()))
-    def test_bytes_parse_like_their_text(self, chunked_text):
-        chunk_chars, text = chunked_text
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "CHUNK_CHARS", chunk_chars)
-            from_text, text_warnings = parse_strictly(text)
-            from_bytes, bytes_warnings = parse_strictly(text.encode())
-        assert from_bytes == from_text
-        assert from_bytes.paths == from_text.paths
-        assert bytes_warnings == text_warnings
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(trace_texts(), long_trace_texts().map(itemgetter(1))), st.data())
@@ -418,11 +412,24 @@ class TestParsing:
         ends = [i + 1 for i, byte in enumerate(capture) if byte == ord("\n")]
         cuts = sorted(data.draw(st.sets(st.sampled_from(ends))) if ends else ())
         pieces = [capture[a:b] for a, b in zip([0, *cuts], [*cuts, len(capture)]) if a < b]
-        from_bytes, bytes_warnings = parse_strictly(capture)
+        from_text, text_warnings = parse_strictly(text)
         from_pieces, pieces_warnings = parse_strictly(iter(pieces))
-        assert from_pieces == from_bytes
-        assert from_pieces.paths == from_bytes.paths
-        assert pieces_warnings == bytes_warnings
+        assert records_of(from_pieces) == records_of(from_text)
+        assert from_pieces.paths == from_text.paths
+        assert pieces_warnings == text_warnings
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(PIECE_PARTS, max_size=40).map("".join), st.lists(st.integers(0, 160), max_size=8))
+    @example("a\r\nb\r", [2, 2, 5])
+    @example("\udcf4\r", [])
+    def test_pieces_cut_text_blocks_at_line_breaks(self, text, cuts):
+        # Blocks cut anywhere, empty ones too: inside a "\r\n", before or after a lone surrogate.
+        cuts = sorted(min(cut, len(text)) for cut in cuts)
+        blocks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+        pieces = list(ingest.pieces(iter(blocks)))
+        assert b"".join(pieces) == text.replace("\r\n", "\n").replace("\r", "\n").encode("utf-8", "surrogatepass")
+        assert all(piece.endswith(b"\n") for piece in pieces[:-1])
+        assert all(pieces)
 
     @settings(max_examples=300, deadline=None)
     @given(placed_tokens(word_tokens(24)))
@@ -469,7 +476,7 @@ class TestParsing:
         expected_warnings = []
         expected = oracle_parse_ping_log(text, expected_warnings)
         records, warnings = parse_strictly(text)
-        assert records == expected
+        assert records_of(records) == expected
         assert warnings == expected_warnings
 
     def test_path_ids_follow_first_appearance_across_both_paths(self):
@@ -484,7 +491,7 @@ class TestParsing:
         )
         log = parse_ping_log(text)
         expected = oracle_parse_ping_log(text)
-        assert log == expected
+        assert records_of(log) == expected
         assert log.paths == [("10.0.0.1", "10.0.0.2"), ("10.0.0.9", "10.0.0.1"), ("10.0.0.2", "10.0.0.1"), ("10.0.0.1", "10.0.0.9")]
         assert log.paths == paths_of(expected)
         assert log.path.tolist() == [0, 1, 2, 3, 1]
@@ -497,7 +504,7 @@ class TestParsing:
         expected = oracle_parse_ping_log(text, expected_warnings)
         records, warnings = parse_strictly(text)
         assert len(paths_of(expected)) > 2
-        assert records == expected
+        assert records_of(records) == expected
         assert records.paths == paths_of(expected)
         assert warnings == expected_warnings
 
@@ -505,15 +512,18 @@ class TestParsing:
         # 9 tokens then 7: 16 tokens with the literals in place, yet no line is a record.
         text = "1 0.100000 a b ICMP Echo (ping) request 5\n0.200000 a b ICMP Echo (ping) reply\n"
         warnings = []
-        assert parse_ping_log(text, warnings) == []
+        assert records_of(parse_ping_log(text, warnings)) == []
         assert [w.partition(":")[0] for w in warnings] == ["line 1", "line 2"]
         expected_warnings = []
         oracle_parse_ping_log(text, expected_warnings)
         assert warnings == expected_warnings
 
-    @pytest.mark.parametrize("line_break, non_ascii, calls", [("\n", True, 1), ("\r", False, 0), ("\x0c", False, 0)])
+    @pytest.mark.parametrize(
+        "line_break, non_ascii, calls", [("\n", True, 1), ("\r\n", False, 0), ("\r", False, 0), ("\x0c", False, 0)]
+    )
     def test_only_odd_lines_go_to_the_single_line_parser(self, monkeypatch, line_break, non_ascii, calls):
         # 4000 well-formed lines, with "hôst" as the src of one when non_ascii; only that line is odd.
+        # A chunk of "\r\n" or "\r" lines reaches _lf_lines with its line ends already read as "\n".
         lines = [
             f"{k + 1}\t{format_timestamp(1000 + 25_000 * k)}\t169.254.118.52\t169.254.65.{k // 2 % 4 + 1}"
             f"\tICMP\tEcho (ping) {(REQUEST, REPLY)[k % 2]}"
@@ -524,15 +534,22 @@ class TestParsing:
         text = line_break.join(lines) + line_break
         expected_warnings = []
         expected = oracle_parse_ping_log(text, expected_warnings)
-        parsed = []
+        parsed, kept = [], []
+        lf_lines = ingest._lf_lines
         monkeypatch.setattr(ingest, "parse_ping_record", lambda line: parsed.append(line) or parse_ping_record(line))
-        for capture in (text, text.encode()):
-            parsed.clear()
-            records, warnings = parse_strictly(capture)
-            assert len(parsed) == calls
-            assert records == expected
-            assert records.paths == paths_of(expected)
-            assert warnings == expected_warnings
+
+        def spy_lf_lines(chunk):
+            lf = lf_lines(chunk)
+            kept.append(lf is chunk)
+            return lf
+
+        monkeypatch.setattr(ingest, "_lf_lines", spy_lf_lines)
+        records, warnings = parse_strictly(text)
+        assert len(parsed) == calls
+        assert kept and all(kept) == ("\r" in line_break)
+        assert records_of(records) == expected
+        assert records.paths == paths_of(expected)
+        assert warnings == expected_warnings
 
     def test_peak_memory_stays_near_the_text(self):
         # A clean 40 000-line capture; a whole-text split() would hold some 7x its size.
@@ -568,12 +585,12 @@ class TestParsing:
         warnings = []
         if fits:
             assert parse_ping_record(line) == record
-            assert parse_ping_log(line, warnings) == [record]
+            assert records_of(parse_ping_log(line, warnings)) == [record]
             assert warnings == []
         else:
             with pytest.raises(ValueError, match="int64"):
                 parse_ping_record(line)
-            assert parse_ping_log(line, warnings) == []
+            assert records_of(parse_ping_log(line, warnings)) == []
             assert len(warnings) == 1 and "int64" in warnings[0]
 
     def test_timestamp_exact_microseconds(self):
@@ -585,9 +602,9 @@ class TestParsing:
 
     def test_parse_format_parse_fixed_point(self, tower1_log, tower2_log, tower3_log):
         for text in (tower1_log, tower2_log, tower3_log):
-            records = parse_ping_log(text)
+            records = records_of(parse_ping_log(text))
             rendered = "\n".join(format_ping_record(r) for r in records)
-            assert parse_ping_log(rendered) == records
+            assert records_of(parse_ping_log(rendered)) == records
 
 
 class TestColumns:
@@ -599,28 +616,13 @@ class TestColumns:
         ]
     )
 
-    def test_log_reads_like_a_list_of_records(self):
-        log = parse_ping_log(self.TEXT)
-        assert isinstance(log, PingLog)
-        records = [parse_ping_record(line) for line in self.TEXT.splitlines()]
-        assert len(log) == 3
-        assert log[0] == records[0] and log[-1] == records[2]
-        assert log[1:] == records[1:]
-        assert log == records and log != records[:2]
-        assert records == log
-        with pytest.raises(IndexError):
-            log[3]
-        with pytest.raises(IndexError):
-            log[-4]
-        assert log.paths == [("10.0.0.1", "10.0.0.2"), ("10.0.0.2", "10.0.0.1"), ("10.0.0.1", "10.0.0.3")]
-
     def test_table_reads_like_a_list_of_samples(self):
         table = pair_rtts(parse_ping_log(self.TEXT))
         expected = [
             RttSample(1, 2, 500, valid=True),
             RttSample(3, None, None, valid=False, anomaly=MISSING_REPLY),
         ]
-        assert table == expected and table[-1] == expected[1] and table[:1] == expected[:1]
+        assert len(table) == 2 and list(table) == expected
         assert rtt_csv(table) == rendering_oracle.rtt_csv(expected)
         assert discrepancy_report(table, ["line 9: x"]) == rendering_oracle.discrepancy_report(expected, ["line 9: x"])
 
@@ -638,7 +640,7 @@ class TestPairing:
         assert by_request[45].reply_seq == 46
 
     def test_tower3_first_pair(self, tower3_log):
-        samples = pair_rtts(parse_ping_log(tower3_log))
+        samples = list(pair_rtts(parse_ping_log(tower3_log)))
         assert samples[0].request_seq == 21
         assert samples[0].rtt_us == 774
 
@@ -650,7 +652,7 @@ class TestPairing:
                 "3 2.000000 10.0.0.1 10.0.0.2 ICMP Echo (ping) request",
             ]
         )
-        samples = pair_rtts(parse_ping_log(text))
+        samples = list(pair_rtts(parse_ping_log(text)))
         assert samples[0].valid and samples[0].rtt_us == 500
         assert not samples[1].valid
         assert samples[1].anomaly == MISSING_REPLY
@@ -664,7 +666,7 @@ class TestPairing:
                 "3 1.000500 10.0.0.2 10.0.0.1 ICMP Echo (ping) reply",
             ]
         )
-        samples = pair_rtts(parse_ping_log(text))
+        samples = list(pair_rtts(parse_ping_log(text)))
         assert samples[0].reply_seq == 3
         assert samples[1].anomaly == MISSING_REPLY
 
@@ -679,8 +681,8 @@ class TestPairing:
     def test_matches_quadratic_oracle(self, records):
         expected = oracle_pair_rtts(records)
         log = parse_ping_log("".join(format_ping_record(record) + "\n" for record in records))
-        assert log == records
-        assert pair_rtts(log) == expected
+        assert records_of(log) == records
+        assert list(pair_rtts(log)) == expected
         assert fifo_pair_rtts(records) == expected
 
     @settings(max_examples=300, deadline=None)
@@ -756,7 +758,7 @@ class TestBaseline:
 
     def test_invalid_samples_skipped(self):
         samples = samples_from_us([690, -17])
-        assert samples[1].anomaly == NEGATIVE
+        assert list(samples)[1].anomaly == NEGATIVE
         assert len(subtract_baseline(samples, 0.0001)) == 1
 
     def test_rejects_negative_baseline(self):
@@ -787,7 +789,7 @@ class TestStats:
 
     def test_only_invalid_samples_raise(self):
         samples = samples_from_us([-5])
-        assert samples[0].anomaly == NEGATIVE
+        assert list(samples)[0].anomaly == NEGATIVE
         with pytest.raises(EmptyDataError):
             rtt_stats(samples)
 
