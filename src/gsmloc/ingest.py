@@ -318,9 +318,9 @@ def parse_ping_log(capture: str | Iterable[bytes], warnings: list[str] | None = 
 
 
 def pieces(blocks: Iterable[str]) -> Iterator[bytes]:
-    """The UTF-8 of the text blocks, joined with "\\r\\n" and a lone "\\r"
-    read as "\\n", in pieces that each end at a "\\n" but the last, which
-    may not; no piece is empty.
+    """The UTF-8 of the blocks' text, "\\r\\n" and a lone "\\r" read as
+    "\\n", in pieces that each end at a "\\n" but the last, which may not;
+    no piece is empty.
 
     The blocks go through the io module's newline decoder, which holds a
     block's last "\\r" until it sees whether a "\\n" follows. Each block is
