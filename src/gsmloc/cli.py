@@ -52,7 +52,8 @@ from .geometry import Point3, TowerSite, hex_cell_layout
 # globals, so analyze-log calls them through this module and every one stays
 # here. It wraps all but check_kernel_delay and propagation_csv, whose time
 # counts as cli's own, and subtract_baseline too, which analyze-log never
-# calls.
+# calls. tools/stage_times.py wraps every function this module imports from
+# another gsmloc module, these and those below, and reports each as a stage.
 from .ingest import (
     check_kernel_delay,
     discrepancy_report,

@@ -1,99 +1,108 @@
-"""Time each stage of ``gsmloc analyze-log`` on one capture, in one process.
+"""Time each stage of one gsmloc command line, in one process.
 
-Run from the repository root:
+    PYTHONPATH=src python3 tools/stage_times.py --rounds 15 analyze-log capture.log --baseline 0.0005
 
-    PYTHONPATH=src python3 tools/stage_times.py capture.log --baseline 0.0005
-
-The stages are the calls ``analyze-log`` makes, in its order: read+parse
-(the file read a block at a time and decoded, its line ends translated,
-each piece added to the sha256 digest and parsed), pair,
-``rtt_csv``, stats (``rtt_stats`` and ``stats_summary``), discrepancies,
-``propagation_csv`` (only with ``--baseline``) and write (the output
-files, into a temporary directory). As in ``analyze-log``, the parsed log
-is dropped once it is paired. Each round runs every stage once, in that
-order, so the stages interleave; the first round warms the caches and is
-not counted. The table gives each stage's median wall time in
-milliseconds over the counted rounds, and their sum. One more round then
-runs under tracemalloc, apart from the timed ones so that tracing does
-not slow them: it gives each stage's peak of traced memory in MB, what the
-stages before it still hold included, and the total line the highest.
+A stage is a function ``gsmloc.cli`` imports from another gsmloc module, or
+``cli._write_all``, wrapped for the run and put back after it. ``cli.main``
+runs the command into a temporary -o directory, stdout swallowed: to warm up,
+--rounds counted times, then under tracemalloc. Per stage, in first-call
+order: median ms and minor page faults, traced peak MB and calls per round;
+then ``cli`` (main less the stages) and ``total``. A failed command prints
+main's ``error:`` line and no table, and the tool exits with main's code; a
+feasibility verdict (exit 1) prints the table.
 """
 
-from __future__ import annotations
-
 import argparse
-import hashlib
+import contextlib
+import inspect
+import io
 import statistics
 import sys
 import tempfile
 import time
 import tracemalloc
-from pathlib import Path
+from resource import RUSAGE_SELF, getrusage
 
 from gsmloc import cli
 
 
-def one_round(path: Path, baseline: float | None, out_dir: Path) -> dict[str, tuple[float, float]]:
-    """Run every stage once, as analyze-log runs it: each one's wall time in
-    ms and its peak of traced memory in MB, 0 unless tracemalloc traces."""
-    stages = {}
-
-    def timed(name, call, *args):
-        tracemalloc.reset_peak()
-        start = time.perf_counter()
-        result = call(*args)
-        stages[name] = ((time.perf_counter() - start) * 1e3, tracemalloc.get_traced_memory()[1] / 1e6)
-        return result
-
-    def read_and_parse():
-        digest = hashlib.sha256()
-        records = cli.parse_ping_log(cli._hashed(cli._read_chunks(path), digest), warnings)
-        digest.hexdigest()
-        return records
-
-    warnings: list[str] = []
-    records = timed("read+parse", read_and_parse)
-    samples = timed("pair", cli.pair_rtts, records)
-    del records
-    files = {
-        "rtt.csv": timed("rtt_csv", cli.rtt_csv, samples),
-        "stats.txt": timed("stats", lambda: cli.stats_summary(cli.rtt_stats(samples))),
-        "discrepancies.txt": timed("discrepancies", cli.discrepancy_report, samples, warnings),
-    }
-    if baseline is not None:
-        files["propagation.csv"] = timed("propagation_csv", cli.propagation_csv, samples, baseline)
-    timed("write", cli._write_all, out_dir, files)
-    return stages
+def _peak_mb() -> float:
+    """The traced peak in MB since the last call; 0 unless tracemalloc traces."""
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    return peak / 1e6
 
 
-def stage_times(path: Path, baseline: float | None, rounds: int) -> dict[str, tuple[float, float]]:
-    """Each stage's median wall time in ms over ``rounds`` rounds after a
-    warm-up round, and its traced peak in MB from one more, traced round."""
-    with tempfile.TemporaryDirectory(prefix="stage_times_") as out_dir:
-        one_round(path, baseline, Path(out_dir))
-        times = [one_round(path, baseline, Path(out_dir)) for _ in range(rounds)]
-        tracemalloc.start()
-        try:
-            traced = one_round(path, baseline, Path(out_dir))
-        finally:
-            tracemalloc.stop()
-    return {name: (statistics.median(round_[name][0] for round_ in times), traced[name][1]) for name in traced}
+def measure(argv: list[str], rounds: int) -> tuple[int, dict[str, list]]:
+    """main's exit code and, unless its warm-up fails, per stage then "cli": [ms, faults, peak MB, calls]."""
+    rows: dict[str, list] = {}  # this round's; "cli" holds the peak outside stages, moved last at the end
+
+    def wrap(name, fn):
+        def timed(*args, **kwargs):
+            rows["cli"][2] = max(rows["cli"][2], _peak_mb())
+            row = rows.setdefault(name, [0.0, 0, 0.0, 0])
+            faults, start = getrusage(RUSAGE_SELF).ru_minflt, time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                row[0] += (time.perf_counter() - start) * 1e3
+                row[1] += getrusage(RUSAGE_SELF).ru_minflt - faults
+                row[2] = max(row[2], _peak_mb())
+                row[3] += 1
+
+        return timed
+
+    def one_round(out_dir: str) -> tuple[int, dict[str, list]]:
+        rows.clear()
+        rows["cli"] = [0.0, 0, 0.0, 1]
+        faults, start = getrusage(RUSAGE_SELF).ru_minflt, time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "-o", out_dir])
+        ms, faults = (time.perf_counter() - start) * 1e3, getrusage(RUSAGE_SELF).ru_minflt - faults
+        outside_mb = max(rows.pop("cli")[2], _peak_mb())
+        rows["cli"] = [ms - sum(r[0] for r in rows.values()), faults - sum(r[1] for r in rows.values()), outside_mb, 1]
+        return code, dict(rows)
+
+    # The stages: cli's globals that are functions of another gsmloc module, and _write_all.
+    others = {name for name in sys.modules if name.startswith("gsmloc.")} - {cli.__name__}
+    originals = {name: v for name, v in vars(cli).items() if inspect.isfunction(v) and v.__module__ in others}
+    originals["_write_all"] = cli._write_all
+    try:
+        for name, fn in originals.items():
+            setattr(cli, name, wrap(name, fn))
+        with tempfile.TemporaryDirectory(prefix="stage_times_") as out_dir:
+            code, _ = one_round(out_dir)
+            if code not in (cli.EXIT_OK, cli.EXIT_INFEASIBLE):
+                return code, {}
+            counted = [one_round(out_dir)[1] for _ in range(rounds)]
+            tracemalloc.start()
+            try:
+                table = one_round(out_dir)[1]
+            finally:
+                tracemalloc.stop()
+    finally:
+        for name, fn in originals.items():
+            setattr(cli, name, fn)
+    for name, row in table.items():
+        row[:2] = statistics.median(r[name][0] for r in counted), statistics.median_low(r[name][1] for r in counted)
+    return code, table
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("capture", type=Path, help="ping capture, as analyze-log reads it")
-    parser.add_argument("--baseline", type=float, help="kernel delay in seconds; adds the propagation_csv stage")
     parser.add_argument("--rounds", type=int, default=15, help="counted rounds (default 15)")
+    parser.add_argument("command", nargs=argparse.REMAINDER, help="a gsmloc command line, without -o")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    stages = stage_times(args.capture, args.baseline, args.rounds)
-    for name, (ms, peak_mb) in stages.items():
-        print(f"{name:<16}{ms:9.3f} ms{peak_mb:9.2f} MB peak")
-    total_ms = sum(ms for ms, _ in stages.values())
-    print(f"{'total':<16}{total_ms:9.3f} ms{max(peak for _, peak in stages.values()):9.2f} MB peak")
-    return 0
+    code, table = measure(args.command, args.rounds)
+    if table:
+        ms, faults, peaks, calls = zip(*table.values())
+        table["total"] = [sum(ms), sum(faults), max(peaks), sum(calls)]
+        print(f"{'stage':<20}{'ms':>11}{'faults':>8}{'peak MB':>9}{'calls':>7}")
+        for name, (ms, faults, peak_mb, calls) in table.items():
+            print(f"{name:<20}{ms:11.4f}{faults:8d}{peak_mb:9.2f}{calls:7d}")
+    return code
 
 
 if __name__ == "__main__":
