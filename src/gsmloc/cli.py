@@ -36,7 +36,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__, ingest
@@ -389,7 +389,10 @@ def cmd_feasibility(args) -> Run:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: building it
+    takes about ten times as long as a parse."""
     parser = argparse.ArgumentParser(
         prog="gsmloc",
         description="Time-of-flight ranging simulator and trilateration toolkit.",

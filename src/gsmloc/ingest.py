@@ -49,11 +49,14 @@ through ``parse_ping_record``, which decides it exactly as for a single
 line and is the only source of malformed-line messages: a token count
 other than 0 or 8, a field that fails or runs past its window, and a line
 holding a control byte but tab, a DEL or a non-ASCII byte ("²" is a digit
-to ``str.isdigit`` but not to ``int``, and "\\xa0" splits a token). Its
-records go into the chunk's columns with ``np.insert``. Path ids follow
-the first appearance of each (src, dst) over both kinds of line, and a
-chunk's arrays keep the memory held at once to a chunk's worth, where a
-whole-text ``split`` would hold some seven times the text.
+to ``str.isdigit`` but not to ``int``, and "\\xa0" splits a token). One
+function takes a piece to its final columns: it puts each such line's
+record in among the column rows in line order, with ``np.insert``, and
+gives each new (src, dst) its path id in the order of the lines of
+either kind that first show them. ``parse_ping_log`` only joins the
+pieces' columns, so its arrays keep the memory held at once to a
+chunk's worth, where a whole-text ``split`` would hold some seven times
+the text.
 
 Each request pairs with the earliest unconsumed reply after it whose
 (src, dst) is the reverse of its own; the exports carry no ICMP
@@ -82,7 +85,6 @@ import io
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
 from operator import itemgetter
 
 import numpy as np
@@ -188,8 +190,11 @@ class PingLog:
 
 @dataclass(eq=False)
 class RttTable:
-    """Paired samples as int64, bool and uint8 columns, one row per request;
-    iterating it builds each row's RttSample."""
+    """Paired samples as int64, bool and uint8 columns, one row per request.
+
+    The renderers read the columns. Iterating the table builds each row's
+    RttSample, as the benchmark's capture workloads do to count anomalies.
+    """
 
     request_seq: np.ndarray  # int64
     reply_seq: np.ndarray  # int64, 0 where not replied
@@ -202,21 +207,9 @@ class RttTable:
         return len(self.request_seq)
 
     def __iter__(self) -> Iterator[RttSample]:
-        return iter(self._items(slice(None)))
-
-    def _items(self, rows: slice | np.ndarray) -> list[RttSample]:
-        """The samples of the given rows, built from Python values of the columns."""
-        return [
-            RttSample(request_seq, reply_seq if replied else None, rtt_us if replied else None, valid, ANOMALIES[anomaly])
-            for request_seq, reply_seq, rtt_us, replied, valid, anomaly in zip(
-                self.request_seq[rows].tolist(),
-                self.reply_seq[rows].tolist(),
-                self.rtt_us[rows].tolist(),
-                self.replied[rows].tolist(),
-                self.valid[rows].tolist(),
-                self.anomaly[rows].tolist(),
-            )
-        ]
+        columns = (self.request_seq, self.reply_seq, self.rtt_us, self.replied, self.valid, self.anomaly)
+        for request_seq, reply_seq, rtt_us, replied, valid, anomaly in zip(*(c.tolist() for c in columns)):
+            yield RttSample(request_seq, reply_seq if replied else None, rtt_us if replied else None, valid, ANOMALIES[anomaly])
 
 
 def parse_timestamp_us(text: str) -> int:
@@ -272,9 +265,10 @@ def parse_ping_log(capture: str | Iterable[bytes], warnings: list[str] | None = 
     The trace is text, or an iterable of pieces of its UTF-8 bytes, each
     ending at a "\\n" but the last and none empty, as ``pieces`` cuts a
     file read a block at a time; text goes through ``pieces`` in slices of
-    ``CHUNK_CHARS`` characters. Each piece is parsed as one chunk, so only
-    a piece's worth of the trace is held at once, and the result is that
-    of the joined bytes. Every line break is first written as "\\n", and a
+    ``CHUNK_CHARS`` characters. Each piece is parsed to its final columns
+    on its own (_parse_piece), and this function joins them, so only a
+    piece's worth of the trace is held at once, and the result is that of
+    the joined bytes. Every line break is first written as "\\n", and a
     line with a control byte but tab, a DEL or a non-ASCII byte goes alone
     through ``parse_ping_record``. Malformed lines are skipped, never
     fatal; pass a list as ``warnings`` to collect a message per skipped
@@ -283,36 +277,14 @@ def parse_ping_log(capture: str | Iterable[bytes], warnings: list[str] | None = 
     chunks = capture
     if isinstance(capture, str):
         chunks = pieces(capture[start : start + CHUNK_CHARS] for start in range(0, len(capture), CHUNK_CHARS))
-    # Each column's pieces, a chunk's worth each, joined at the end.
+    # Each column's pieces, a piece's worth each, joined at the end.
     parts: tuple[list[np.ndarray], ...] = ([_NO_INTS], [_NO_INTS], [_NO_INTS], [_NO_BOOLS])
     path_ids: dict[tuple[str, str], int] = {}
     lines_before = 0
-    for chunk in chunks:
-        if not chunk.endswith(b"\n"):
-            chunk += b"\n"
-        columns = _chunk_columns(_lf_lines(chunk))
-        records = []
-        for index, line in columns.odd_lines:
-            if not line.strip():
-                continue
-            try:
-                records.append((index, parse_ping_record(line)))
-            except ValueError as exc:
-                if warnings is not None:
-                    warnings.append(f"line {lines_before + index + 1}: {exc}")
-        lines_before += columns.n_lines
-        # New paths take their ids in the order of the lines that first show them.
-        firsts = columns.tail_firsts + [(index, (r.src, r.dst)) for index, r in records]
-        for _, key in sorted(firsts, key=itemgetter(0)):
-            path_ids.setdefault(key, len(path_ids))
-        tail_path = np.array([path_ids[key] for _, key in columns.tail_firsts], np.int64)
-        values = (columns.seq, columns.time_us, tail_path[columns.tail], columns.tail_is_request[columns.tail])
-        if records:
-            # Each record of an odd line goes in before the first column row below it.
-            cuts = np.searchsorted(columns.lines, [index for index, _ in records])
-            inserts = zip(*((r.seq, r.time_us, path_ids[r.src, r.dst], r.direction == REQUEST) for _, r in records))
-            values = [np.insert(column, cuts, inserted) for column, inserted in zip(values, inserts)]
-        for part, column in zip(parts, values):
+    for piece in chunks:
+        n_lines, columns = _parse_piece(piece, path_ids, warnings, lines_before)
+        lines_before += n_lines
+        for part, column in zip(parts, columns):
             part.append(column)
     return PingLog(*map(np.concatenate, parts), list(path_ids))
 
@@ -356,31 +328,27 @@ def _lf_lines(chunk: bytes) -> bytes:
     return ("\n".join(chunk.decode("utf-8", "surrogatepass").splitlines()) + "\n").encode("utf-8", "surrogatepass")
 
 
-@dataclass
-class _ChunkColumns:
-    """What the column read took from a chunk, by line index within it."""
+def _parse_piece(
+    piece: bytes, path_ids: dict[tuple[str, str], int], warnings: list[str] | None, lines_before: int
+) -> tuple[int, tuple[np.ndarray, ...]]:
+    """A piece's line count, and the seq, time_us, path and is_request
+    columns of its records, in line order.
 
-    n_lines: int
-    lines: np.ndarray  # the lines read as columns, ascending
-    seq: np.ndarray
-    time_us: np.ndarray
-    tail: np.ndarray  # each line's index into tail_firsts
-    tail_firsts: list[tuple[int, tuple[str, str]]]  # each distinct tail's first line and (src, dst)
-    tail_is_request: np.ndarray
-    odd_lines: list[tuple[int, str]]  # every other line that is not blank, for parse_ping_record
-
-
-def _chunk_columns(chunk: bytes) -> _ChunkColumns:
-    """What the column read takes from UTF-8 bytes whose only line break is
-    "\\n", which ends them.
-
-    A line is read as columns when it has no control byte but tab, no DEL
-    and no non-ASCII byte, has 8 tokens, a seq of digits, a stamp of digits
-    with exactly six after its one dot, each within its window, a tail (src
-    to direction) within its window, and a direction of exactly ``request``
-    or ``reply``. Every other line that is not blank is decoded and left to
-    parse_ping_record.
+    The piece is ended by a "\\n" if it lacks one, and its line breaks are
+    written as "\\n" (_lf_lines). A line is read as columns when it has no
+    control byte but tab, no DEL and no non-ASCII byte, has 8 tokens, a seq
+    of digits, a stamp of digits with exactly six after its one dot, each
+    within its window, a tail (src to direction) within its window, and a
+    direction of exactly ``request`` or ``reply``. Every other line that is
+    not blank is decoded and goes alone to parse_ping_record: its record
+    goes in among the column rows in line order, and its error, numbered
+    after the ``lines_before`` lines of the pieces before, into
+    ``warnings``. Each (src, dst) not yet in ``path_ids`` takes the next id
+    there, in the order of the lines that first show them.
     """
+    if not piece.endswith(b"\n"):
+        piece += b"\n"
+    chunk = _lf_lines(piece)
     # Positions count from the start of the padding, so every window fits.
     padded = np.concatenate((_PADDING, np.frombuffer(chunk, np.uint8)))
     newlines = np.flatnonzero(padded == _LF)
@@ -421,29 +389,43 @@ def _chunk_columns(chunk: bytes) -> _ChunkColumns:
     seq, time_us = seq[keep].view(np.int64), time_us[keep].view(np.int64)
     lines, tail_start, tail_end = lines[keep], tail_start[keep], tail_end[keep]
     first_row, tail = _distinct_tails(padded, tail_start, tail_end)
+    first_lines = lines[first_row].tolist()
     tails = [
         chunk[start - len(_PADDING) : end - len(_PADDING)].decode("ascii").split()
         for start, end in zip(tail_start[first_row].tolist(), tail_end[first_row].tolist())
     ]
-    known = np.array([tokens[-1] in (REQUEST, REPLY) for tokens in tails], bool)
-    tail_firsts = [(line, (tokens[0], tokens[1])) for line, tokens in zip(lines[first_row].tolist(), tails)]
-    tail_is_request = np.array([tokens[-1] == REQUEST for tokens in tails], bool)
-    if not known.all():
-        # Lines whose direction is not exactly request or reply go to parse_ping_record.
-        keep = np.flatnonzero(known[tail])
-        lines, seq, time_us, tail = lines[keep], seq[keep], time_us[keep], (np.cumsum(known) - 1)[tail[keep]]
-        tail_firsts = list(compress(tail_firsts, known))
-        tail_is_request = tail_is_request[known]
+    # Lines whose direction is not exactly request or reply go to parse_ping_record.
+    known = [tokens[-1] in (REQUEST, REPLY) for tokens in tails]
+    keep = np.array(known, bool)[tail]
+    lines, seq, time_us, tail = lines[keep], seq[keep], time_us[keep], tail[keep]
     odd = np.ones(n_lines, bool)
     odd[lines] = False
     odd &= (counts != 0) | has_odd_byte
-    odd_lines = [
-        (index, chunk[start + 1 - len(_PADDING) : end - len(_PADDING)].decode("utf-8", "surrogatepass"))
-        for index, start, end in zip(
-            np.flatnonzero(odd).tolist(), line_before[odd].tolist(), newlines[odd].tolist()
-        )
-    ]
-    return _ChunkColumns(n_lines, lines, seq, time_us, tail, tail_firsts, tail_is_request, odd_lines)
+    records = []
+    for index, start, end in zip(np.flatnonzero(odd).tolist(), line_before[odd].tolist(), newlines[odd].tolist()):
+        line = chunk[start + 1 - len(_PADDING) : end - len(_PADDING)].decode("utf-8", "surrogatepass")
+        if not line.strip():
+            continue
+        try:
+            records.append((index, parse_ping_record(line)))
+        except ValueError as exc:
+            if warnings is not None:
+                warnings.append(f"line {lines_before + index + 1}: {exc}")
+    # New paths take their ids in the order of the lines that first show them.
+    firsts = [(line, (tokens[0], tokens[1])) for line, tokens, ok in zip(first_lines, tails, known) if ok]
+    firsts += [(index, (r.src, r.dst)) for index, r in records]
+    for _, key in sorted(firsts, key=itemgetter(0)):
+        path_ids.setdefault(key, len(path_ids))
+    # A tail whose direction is neither request nor reply has no rows left, so its -1 is never read.
+    tail_path = np.array([path_ids.get((tokens[0], tokens[1]), -1) for tokens in tails], np.int64)
+    tail_is_request = np.array([tokens[-1] == REQUEST for tokens in tails], bool)
+    columns = (seq, time_us, tail_path[tail], tail_is_request[tail])
+    if records:
+        # Each record of an odd line goes in before the first column row below it.
+        cuts = np.searchsorted(lines, [index for index, _ in records])
+        inserts = zip(*((r.seq, r.time_us, path_ids[r.src, r.dst], r.direction == REQUEST) for _, r in records))
+        columns = tuple(np.insert(column, cuts, inserted) for column, inserted in zip(columns, inserts))
+    return n_lines, columns
 
 
 def _words(padded: np.ndarray) -> np.ndarray:
@@ -837,15 +819,18 @@ def discrepancy_report(samples: RttTable, warnings: list[str] | None = None) -> 
     Anomalies are reported, never silently dropped; a clean log yields the
     single line ``none``.
     """
-    lines = []
-    for sample in samples._items(np.flatnonzero(samples.anomaly)):
-        if sample.anomaly == NEGATIVE:
-            lines.append(
-                f"negative-interval\trequest_seq={sample.request_seq}"
-                f"\treply_seq={sample.reply_seq}\trtt_us={sample.rtt_us}"
-            )
-        else:
-            lines.append(f"missing-reply\trequest_seq={sample.request_seq}")
+    rows = np.flatnonzero(samples.anomaly)
+    lines = [
+        f"negative-interval\trequest_seq={request_seq}\treply_seq={reply_seq}\trtt_us={rtt_us}"
+        if ANOMALIES[anomaly] == NEGATIVE
+        else f"missing-reply\trequest_seq={request_seq}"
+        for request_seq, reply_seq, rtt_us, anomaly in zip(
+            samples.request_seq[rows].tolist(),
+            samples.reply_seq[rows].tolist(),
+            samples.rtt_us[rows].tolist(),
+            samples.anomaly[rows].tolist(),
+        )
+    ]
     for message in warnings or ():
         lines.append(f"malformed-line\t{message}")
     if not lines:

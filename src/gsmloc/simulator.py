@@ -108,21 +108,20 @@ class Event(NamedTuple):
 class Trace:
     """Ordered event log of one exchange plus the context to re-derive ranges.
 
-    A trace also carries its config's exchange table, the slots of its
-    events there (arrived: a list of ints, or a range when nothing was
-    lost) and the list of the slots of its acks alone (acked), both
-    ascending; format_trace reads the table's lines at
-    arrived, first_k_acks slices acked and reads the table's ranges, and
-    the trace keeps the whole table alive. None of these takes part in
-    equality: two traces are equal when their events, timing and towers
-    are, whichever configs they came from.
+    A trace also carries its config's exchange table, the list of the
+    slots of its events there (arrived) and the list of the slots of its
+    acks alone (acked), both ascending; format_trace reads the table's
+    lines at arrived, first_k_acks slices acked and reads the table's
+    ranges, and the trace keeps the whole table alive. None of these takes
+    part in equality: two traces are equal when their events, timing and
+    towers are, whichever configs they came from.
     """
 
     events: tuple[Event, ...]
     timing: TimingModel
     towers: tuple[TowerSite, ...]
     exchange: Exchange = field(compare=False, repr=False)
-    arrived: Sequence[int] = field(compare=False, repr=False)
+    arrived: list[int] = field(compare=False, repr=False)
     acked: list[int] = field(compare=False, repr=False)
 
 
@@ -198,11 +197,9 @@ class Exchange:
     ack_slot[i] are the slots of its request and its ack (int arrays, the
     two halves of the inverse of the trace-order sort). arrival_order is
     an int array of the tower indices in request-arrival order, the order
-    the ack losses are drawn in, and acked lists the slots of every ack in
-    ascending order, a lossless trial's ack slots. sites[s] is the tower
-    of the event at s, and ds[s] that tower's distance from mobile, the
-    config's true position. A trial's trace only picks slots from this
-    table.
+    the ack losses are drawn in. sites[s] is the tower of the event at s,
+    and ds[s] that tower's distance from mobile, the config's true
+    position. A trial's trace only picks slots from this table.
 
     lines[s] is the trace line of the event at s, rendered with the table:
     rendering cannot fail, and every trace's output reads its lines.
@@ -248,7 +245,6 @@ class Exchange:
         slot[order] = np.arange(2 * n)
         self.request_slot, self.ack_slot = slot[:n], slot[n:]
         self.arrival_order = order[order < n]
-        self.acked = np.flatnonzero(order >= n).tolist()
         at = (order % n).tolist()
         # A comprehension, not map(towers.__getitem__): a tuple's bound __getitem__ is a slow slot wrapper.
         self.sites = [towers[i] for i in at]
@@ -303,24 +299,22 @@ def _picked_trace(config: ScenarioConfig, exchange: Exchange, trial_index: int) 
     arrival order; one ack loss is drawn for each, in that order, and the
     kept ones map through ack_slot to the trial's ack slots. The arrived
     slots are those and the kept requests' slots, merged in ascending
-    order. A lossless trial draws nothing and picks the whole table.
+    order. With no loss every draw is kept, so the trial picks the whole
+    table.
     """
     loss = config.packet_loss
-    if loss > 0.0:
-        rng = np.random.default_rng([config.rng_seed, trial_index])
-        arrival_order = exchange.arrival_order
-        sent = rng.random(len(config.towers)) >= loss
-        # The towers whose request arrived, in arrival order: the order their ack losses are drawn in.
-        requests = arrival_order[sent[arrival_order]]
-        acked = exchange.ack_slot[requests[rng.random(len(requests)) >= loss]]
-        acked.sort()
-        arrived = np.concatenate((exchange.request_slot[requests], acked))
-        arrived.sort()
-        arrived, acked = arrived.tolist(), acked.tolist()
-        table = exchange.events
-        events = tuple([table[s] for s in arrived])
-    else:
-        arrived, acked, events = range(len(exchange.events)), exchange.acked, exchange.events
+    rng = np.random.default_rng([config.rng_seed, trial_index])
+    arrival_order = exchange.arrival_order
+    sent = rng.random(len(config.towers)) >= loss
+    # The towers whose request arrived, in arrival order: the order their ack losses are drawn in.
+    requests = arrival_order[sent[arrival_order]]
+    acked = exchange.ack_slot[requests[rng.random(len(requests)) >= loss]]
+    acked.sort()
+    arrived = np.concatenate((exchange.request_slot[requests], acked))
+    arrived.sort()
+    arrived, acked = arrived.tolist(), acked.tolist()
+    table = exchange.events
+    events = tuple([table[s] for s in arrived])
     return Trace(events, config.timing, config.towers, exchange, arrived, acked)
 
 

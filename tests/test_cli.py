@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -727,6 +728,24 @@ class TestFeasibility:
         record = json.loads((tmp_path / "feasibility_manifest.json").read_text())
         assert record["command"] == "feasibility"
         assert record["seed"] is None
+
+
+def test_a_second_call_builds_no_parser(tmp_path, capsys, monkeypatch):
+    # Building the parser takes about ten times as long as a parse, and the capture workloads call main per op.
+    argv = ["feasibility", "--range", "175", "--clock", "1e-7", "-o", str(tmp_path)]
+    assert main(argv) == cli.EXIT_OK
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    assert main(argv) == cli.EXIT_OK
+    assert built == []
+    # A usage error reads as that of a parser built afresh.
+    with pytest.raises(SystemExit) as kept:
+        main(["feasibility", "--range", "x"])
+    kept_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser.__wrapped__().parse_args(["feasibility", "--range", "x"])
+    assert kept.value.code == fresh.value.code == cli.EXIT_BAD_INPUT
+    assert kept_err == capsys.readouterr().err
 
 
 
