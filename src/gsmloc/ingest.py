@@ -64,10 +64,12 @@ sequence/id fields, so record order is the only pairing key available.
 Replies on a path are therefore consumed in file order, a FIFO of pending
 requests per path. ``pair_rtts`` runs that FIFO as one vector pass: on
 each path, a reply is consumed unless the requests less the replies so
-far reach a new low below 0 at it, which a running minimum shows, and the
-j-th consumed reply pairs with the j-th request. A reply timestamped
-before its request yields an invalid sample flagged as a negative
-interval rather than being dropped.
+far reach a new low below 0 at it, which a running minimum shows. A reply
+with no reverse path takes a key no request has, so it is never consumed.
+A consumed reply leaves the path's latest requests pending, as many as
+its balance lies above that low, and answers the request just before
+them. A reply timestamped before its request yields an invalid sample
+flagged as a negative interval rather than being dropped.
 
 The renderers build their text from uint8 digit matrices and a mask of
 the bytes each row keeps, and turn an interval into seconds as Python's
@@ -532,21 +534,23 @@ def pair_rtts(records: PingLog) -> RttTable:
     nothing pending is never used.
 
     The FIFO runs as one vector pass. Each request is keyed by its own path
-    and each reply by its reverse path; a reply with no reverse path is
-    dropped. Within a key, in file order, let B be the requests less the
-    replies so far. The pending count is B less min(0, the lowest B so far),
-    so a reply is consumed iff B after it is at least min(0, the lowest B
-    before it), and the j-th consumed reply pairs with the j-th request. One
-    np.minimum.accumulate takes every key's running minimum at once, each
-    key's B shifted below those of the keys sorted before it.
+    and each reply by its reverse path; a reply with no reverse path takes
+    the key len(paths), which no request has, so it is never consumed.
+    Within a key, in file order, let B be the requests less the replies so
+    far and L the lowest B so far, clamped at 0. The pending count is B - L,
+    so a reply is consumed iff it sets no new low (L is unchanged). The
+    pending requests are the key's latest, so a consumed reply answers the
+    request just before them: with R the key's requests so far, the
+    (R - (B - L))-th. One np.minimum.accumulate takes every key's running
+    minimum at once, each key's B shifted below those of the keys sorted
+    before it.
     """
     path_ids = {key: i for i, key in enumerate(records.paths)}
-    reverse = np.array([path_ids.get((dst, src), -1) for src, dst in records.paths], np.int64)
+    # A reply with no reverse path takes the key len(records.paths), which no request has.
+    reverse = np.array([path_ids.get((dst, src), len(path_ids)) for src, dst in records.paths], np.int64)
     key = np.where(records.is_request, records.path, reverse[records.path])
-    # File order within each key.
-    order = np.flatnonzero(key >= 0)
-    # The narrowest dtype that holds the keys lets the stable sort run as a radix sort.
-    order = order[np.argsort(key[order].astype(np.min_scalar_type(len(records.paths))), kind="stable")]
+    # File order within each key. The narrowest dtype that holds the keys lets the stable sort run as a radix sort.
+    order = np.argsort(key.astype(np.min_scalar_type(len(records.paths))), kind="stable")
     key = key[order]
     is_request = records.is_request[order]
     counts = np.bincount(key, minlength=len(records.paths))
@@ -556,30 +560,21 @@ def pair_rtts(records: PingLog) -> RttTable:
     balance -= np.concatenate(([0], balance))[starts][key]
     # A key's B lies within +-counts, so shifting each by starts + ends puts it at or below every earlier key's.
     shift = (starts + ends)[key]
-    lowest = np.minimum.accumulate(balance - shift) + shift
-    lowest_before = np.minimum(np.concatenate(([0], lowest[:-1])), 0)
+    lowest = np.minimum(np.minimum.accumulate(balance - shift) + shift, 0)
+    lowest_before = np.concatenate(([0], lowest[:-1]))
     lowest_before[starts[counts > 0]] = 0
-    consumed = ~is_request & (balance >= lowest_before)
-    # The j-th consumed reply of a key and the j-th request of that key, as rows of records.
-    requests = order[is_request]
-    replies = order[consumed]
-    reply_key = key[consumed]
-    request_counts = np.bincount(key[is_request], minlength=len(records.paths))
-    request_starts = np.cumsum(request_counts) - request_counts
-    reply_counts = np.bincount(reply_key, minlength=len(records.paths))
-    rank = np.arange(len(replies)) - (np.cumsum(reply_counts) - reply_counts)[reply_key]
-    answered = requests[request_starts[reply_key] + rank]
-    # Each answered request's slot in the output, which is in file order.
-    slot = (np.cumsum(records.is_request) - 1)[answered]
-    n_requests = int(np.count_nonzero(records.is_request))
-    reply_seq = np.zeros(n_requests, np.int64)
-    reply_seq[slot] = records.seq[replies]
-    rtt_us = np.zeros(n_requests, np.int64)
-    rtt_us[slot] = records.time_us[replies] - records.time_us[answered]
-    replied = np.zeros(n_requests, bool)
-    replied[slot] = True
+    consumed = ~is_request & (lowest == lowest_before)
+    # A consumed reply leaves balance - lowest requests of its key pending, the latest, and answers the one before them.
+    answered = order[is_request][(np.cumsum(is_request) - balance + lowest - 1)[consumed]]
+    # Each request's reply row, -1 where there is none, in file order.
+    reply_of = np.full(len(order), -1)
+    reply_of[answered] = order[consumed]
+    reply_of = reply_of[records.is_request]
+    replied = reply_of >= 0
+    reply_seq = np.where(replied, records.seq[reply_of], 0)
+    rtt_us = np.where(replied, records.time_us[reply_of] - records.time_us[records.is_request], 0)
     valid = replied & (rtt_us >= 0)
-    anomaly = np.full(n_requests, ANOMALIES.index(MISSING_REPLY), np.uint8)
+    anomaly = np.full(len(reply_of), ANOMALIES.index(MISSING_REPLY), np.uint8)
     anomaly[replied] = np.where(valid[replied], ANOMALIES.index(None), ANOMALIES.index(NEGATIVE))
     return RttTable(records.seq[records.is_request], reply_seq, rtt_us, replied, valid, anomaly)
 

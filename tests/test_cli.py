@@ -656,7 +656,7 @@ class TestAnalyzeLog:
 # analyze-log's traced peak on a capture of about 8 MB, at most this many
 # bytes per byte of the capture. The capture is read, hashed and parsed a
 # piece at a time, and its parsed log dropped once it is paired, so the
-# peak is pairing's and rendering's, about 1.7 bytes per capture byte. A
+# peak is pairing's and rendering's, about 1.4 bytes per capture byte. A
 # run that holds the capture's bytes whole peaks at about 2.7.
 PEAK_PER_CAPTURE_BYTE = 2.2
 

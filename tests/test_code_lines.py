@@ -1,7 +1,9 @@
-"""tools/code_lines.py on a small source and on the package."""
+"""tools/code_lines.py on a small source, on a package and on a missing path."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
@@ -46,3 +48,12 @@ def test_prints_each_module_then_the_total(tmp_path, capsys):
     assert [row[1:] for row in rows[1:]] == [["3", "1"], ["20", "9"], ["23", "10"]]
     assert [Path(row[0]).name for row in rows[1:3]] == ["a.py", "b.py"]
     assert rows[3][0] == "total"
+
+
+def test_rejects_a_path_that_does_not_exist(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exit_info:
+        code_lines.main([str(missing)])
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 2 and out == ""
+    assert err.count("error:") == 1 and err.endswith(f"error: no such file or directory: {missing}\n")

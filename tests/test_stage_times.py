@@ -1,4 +1,4 @@
-"""tools/stage_times.py on analyze-log, simulate and feasibility, on failed runs and on the README's lines."""
+"""tools/stage_times.py on analyze-log, simulate and feasibility, on failed runs, bad tool arguments and the README's lines."""
 
 import contextlib
 import importlib.util
@@ -83,3 +83,11 @@ def test_each_readme_line_runs_with_one_round(line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, script, "--rounds", "1", *command], cwd=ROOT, env=env, capture_output=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_rejects_an_empty_command_line(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        stage_times.main(["--rounds", "3"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.count("error:") == 1 and err.endswith("error: a gsmloc command line is required\n")

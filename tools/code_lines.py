@@ -3,12 +3,12 @@
     python3 tools/code_lines.py [paths...]      # default: src/gsmloc
 
 A path is a .py file or a directory, whose .py files are counted
-recursively, in sorted order. A code line is a physical line that holds
-part of a token other than a comment, an indent, a dedent or a line end,
-and is not part of a docstring: the string a module, class or function
-body starts with. So blank, comment and docstring lines are left out, and
-every line of a statement that spans several, or of a string that does, is
-counted.
+recursively, in sorted order; a path that does not exist is a usage error
+(exit 2). A code line is a physical line that holds part of a token other
+than a comment, an indent, a dedent or a line end, and is not part of a
+docstring: the string a module, class or function body starts with. So
+blank, comment and docstring lines are left out, and every line of a
+statement that spans several, or of a string that does, is counted.
 """
 
 import argparse
@@ -51,6 +51,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", type=Path, default=[Path("src/gsmloc")])
     args = parser.parse_args(argv)
+    for path in args.paths:
+        if not path.exists():
+            parser.error(f"no such file or directory: {path}")
     rows = [(str(module), *count(module.read_text(encoding="utf-8"))) for module in _modules(args.paths)]
     rows.append(("total", sum(row[1] for row in rows), sum(row[2] for row in rows)))
     width = max(len(row[0]) for row in rows)

@@ -9,7 +9,8 @@ runs the command into a temporary -o directory, stdout swallowed: to warm up,
 order: median ms and minor page faults, traced peak MB and calls per round;
 then ``cli`` (main less the stages) and ``total``. A failed command prints
 main's ``error:`` line and no table, and the tool exits with main's code; a
-feasibility verdict (exit 1) prints the table.
+feasibility verdict (exit 1) prints the table. An empty command line is a
+usage error (exit 2).
 """
 
 import argparse
@@ -95,6 +96,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if not args.command:
+        parser.error("a gsmloc command line is required")
     code, table = measure(args.command, args.rounds)
     if table:
         ms, faults, peaks, calls = zip(*table.values())
