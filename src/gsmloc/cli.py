@@ -314,12 +314,12 @@ def _load_locate_rows(path: Path) -> list[tuple[int, float, float, float, float]
             tower_id = int(tokens[0]) if len(tokens) == 5 else len(rows)
             x, y, z, r = (float(v) for v in tokens[-4:])
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"{exc}, in row {stripped!r}") from exc
         check_magnitude((x, y, z, r), repr(stripped))
         if r < 0 or tower_id < 0:
             raise ConfigError(f"range and tower id must be non-negative, got {stripped!r}")
         if tower_id in seen:
-            raise ConfigError(f"tower id {tower_id} appears twice")
+            raise ConfigError(f"tower id {tower_id} appears twice, again in row {stripped!r}")
         seen.add(tower_id)
         rows.append((tower_id, x, y, z, r))
     return rows

@@ -73,8 +73,11 @@ flagged as a negative interval rather than being dropped.
 
 The renderers build their text from uint8 digit matrices and a mask of
 the bytes each row keeps, and turn an interval into seconds as Python's
-``rtt_us / 10**6`` does, exactly, also past 2**53. A propagation time is
-written as ``f"{prop:.9e}"`` writes it: its ten significant digits come
+``rtt_us / 10**6`` does, exactly, also past 2**53. Each row is written
+from that row alone. ``subtract_baseline`` and ``propagation_csv`` share
+one computation, each valid interval in seconds less the kernel delay, so
+a row's prop_s is the value ``subtract_baseline`` returns for it, written
+as ``f"{prop:.9e}"`` writes it: its ten significant digits come
 from one product with an exact power of ten, and the rare row whose
 rounding that product cannot decide (within 2**-20 of a half), a zero, or
 a value outside [1e-13, 1e10) goes to the f-string itself. The fields are
@@ -599,17 +602,24 @@ def _seconds(rtt_us: np.ndarray) -> np.ndarray:
     return seconds
 
 
+def _propagation(samples: RttTable, kernel_delay: float) -> np.ndarray:
+    """Each valid sample's RTT in seconds less the kernel delay, in order:
+    ``rtt_us / 10**6 - kernel_delay`` as Python computes it (see _seconds)."""
+    check_kernel_delay(kernel_delay)
+    return _seconds(samples.rtt_us[samples.valid]) - kernel_delay
+
+
 def subtract_baseline(samples: RttTable, kernel_delay: float) -> list[float]:
     """Remove the constant kernel delay from each valid sample's RTT.
 
-    Returns propagation times in seconds, one per valid sample in order. A
-    negative result means the baseline overestimates the kernel delay for
-    that sample (propagation cannot be negative); values are returned as-is
-    so callers can flag them. Raises ValueError for a kernel delay that is
-    negative or not finite.
+    Returns propagation times in seconds, one per valid sample in order,
+    the values propagation_csv writes as prop_s. A negative result means
+    the baseline overestimates the kernel delay for that sample
+    (propagation cannot be negative); values are returned as-is so callers
+    can flag them. Raises ValueError for a kernel delay that is negative or
+    not finite.
     """
-    check_kernel_delay(kernel_delay)
-    return (_seconds(samples.rtt_us[samples.valid]) - kernel_delay).tolist()
+    return _propagation(samples, kernel_delay).tolist()
 
 
 def rtt_stats(samples: RttTable) -> dict[str, float]:
@@ -730,35 +740,29 @@ def _choices(strings: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, np.
     return text.reshape(len(strings), width)[codes], used[codes]
 
 
-def _join(fields: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The fields side by side, each followed by a comma, as one text matrix
-    and mask.
+def _csv(header: str, fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
+    """The header line, then one line per row of the fields, joined by
+    commas.
 
     A field is a uint8 text matrix with a row per line and a mask of the
     bytes of each row that are its own, as _decimals, _exponentials and
-    _choices make them. Each field is copied and then taken out of
-    ``fields``, so that where the list holds the only reference, the field
-    is freed once it is copied.
+    _choices make them. The fields are copied side by side into one text
+    matrix, each followed by a comma but the last, which ends the line.
+    Each field is copied and then taken out of ``fields``, so that where
+    the list holds the only reference, the field is freed once it is
+    copied.
     """
     n = len(fields[0][0])
     text = np.empty((n, sum(field_text.shape[1] + 1 for field_text, _ in fields)), np.uint8)
     used = np.ones(text.shape, bool)
     start = 0
-    fields.reverse()
     while fields:
-        field_text, field_used = fields.pop()
+        field_text, field_used = fields.pop(0)
         end = start + field_text.shape[1]
         text[:, start:end] = field_text
         used[:, start:end] = field_used
         text[:, end] = _COMMA
         start = end + 1
-    return text, used
-
-
-def _csv(header: str, fields: list[tuple[np.ndarray, np.ndarray]]) -> str:
-    """The header line, then one line per row of the fields, joined by
-    commas (see _join)."""
-    text, used = _join(fields)
     text[:, -1] = _LF
     kept = text[used]
     del text, used
@@ -782,21 +786,14 @@ def rtt_csv(samples: RttTable) -> str:
 def propagation_csv(samples: RttTable, kernel_delay: float) -> str:
     """Render subtract_baseline as CSV: request_seq, prop_s, flagged_negative.
 
-    One row per valid sample; a negative propagation time is flagged. A
-    row's text after request_seq depends only on the sample's rtt_us, so
-    each distinct rtt_us is turned into seconds once, exactly as Python's
-    ``rtt_us / 10**6 - kernel_delay`` (see _seconds), and its prop_s written
-    once by _exponentials, which gives ``f"{prop:.9e}"`` byte for byte.
+    One row per valid sample, written from that sample alone: prop_s is
+    the value subtract_baseline returns for it, in ``f"{prop:.9e}"``'s text
+    byte for byte (see _exponentials), and a negative one is flagged.
     """
-    check_kernel_delay(kernel_delay)
-    rows = np.flatnonzero(samples.valid)
-    distinct, which = np.unique(samples.rtt_us[rows], return_inverse=True)
-    prop = _seconds(distinct) - kernel_delay
-    # Each distinct value's prop_s and flag, without the comma after the flag.
-    tail_text, tail_used = _join([_exponentials(prop), _choices(_CSV_BOOL, (prop < 0).view(np.uint8))])
-    tail = (tail_text[which, :-1], tail_used[which, :-1])
-    del tail_text, tail_used
-    return _csv("request_seq,prop_s,flagged_negative", [_decimals(samples.request_seq[rows]), tail])
+    prop = _propagation(samples, kernel_delay)
+    negative = (prop < 0).view(np.uint8)
+    fields = [_decimals(samples.request_seq[samples.valid]), _exponentials(prop), _choices(_CSV_BOOL, negative)]
+    return _csv("request_seq,prop_s,flagged_negative", fields)
 
 
 def stats_summary(stats: dict[str, float]) -> str:

@@ -158,3 +158,12 @@ def test_per_layer_leaves_out_a_metric_one_side_lacks():
     }
     assert list(bench_pairs.per_layer(runs, PER_LAYER)) == ["simulator.events"]
 
+
+@pytest.mark.parametrize("seeds", ["1,,2", "1,x", "", "1.5"])
+def test_seeds_that_are_not_integers_are_a_usage_error(capsys, seeds):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--out", "unused.json", "--seeds", seeds])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.count("error:") == 1
+    assert err.endswith(f"error: argument --seeds: expected comma-separated integers, got {seeds!r}\n")

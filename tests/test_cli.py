@@ -369,14 +369,20 @@ class TestLocate:
             "0 0 0 0 inf",
             "-1 0 0 0 1",  # negative tower id
             "2 0 0 0 1",  # repeats the id of the last good row
+            "0 x 0 0 1",  # not a number
+            "1.5 0 0 0 1",  # not an integer id
+            "0 0 0",  # too few tokens
+            "0 0 0 0 1 2",  # too many tokens
         ],
     )
     def test_bad_row_exit_2(self, tmp_path, capsys, bad_row):
+        # The bad row comes last, so that the error is raised at it and names it.
         rows = tmp_path / "rows.txt"
-        rows.write_text(f"{bad_row}\n1 10 0 0 9.486832980505138\n2 0 10 0 8.366600265340756\n")
+        rows.write_text(f"1 10 0 0 9.486832980505138\n2 0 10 0 8.366600265340756\n{bad_row}\n")
         out = tmp_path / "out"
         assert main(["locate", str(rows), "-o", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(bad_row) in err
         assert not out.exists()
 
     def test_tilted_coplanar_towers_solve(self, tmp_path, capsys):
@@ -821,6 +827,16 @@ def test_read_input_reads_like_read_text(tmp_path, name):
     path = tmp_path / name
     path.write_bytes(READ_INPUTS[name])
     check_reads_like_read_text(path)
+
+
+def test_read_chunks_names_the_streamed_error_when_the_file_changed(tmp_path, monkeypatch):
+    # The re-read finds no error, as when the file was mended after it was streamed.
+    path = tmp_path / "capture.log"
+    path.write_bytes(b"x\n\xff\n")
+    monkeypatch.setattr(cli, "_read_input", lambda path: "x\n")
+    with pytest.raises(cli.ConfigError) as raised:
+        list(cli._read_chunks(path))
+    assert str(raised.value) == f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"
 
 
 # Line ends, ASCII text, multi-byte characters, a BOM, and bytes that are not UTF-8.

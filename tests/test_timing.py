@@ -68,6 +68,10 @@ class TestDistanceFromTurnaround:
 
 
 class TestCalibrateDelay:
+    def test_negative_anchor_distance_rejected(self):
+        with pytest.raises(ValueError, match="anchor distance must be non-negative"):
+            calibrate_delay(1e-3, -1.0, one_way_model())
+
     def test_anchor_gives_exact_constant(self):
         alpha = calibrate_delay(7.58014e-4, 4.2, one_way_model())
         assert alpha == pytest.approx(7.58e-4, rel=1e-12)

@@ -107,6 +107,12 @@ class TestBuildDifferenceSystem:
 
 
 class TestSolvePosition:
+    @pytest.mark.parametrize("n_towers, n_ranges", [(2, 2), (4, 3)])
+    def test_needs_three_towers_and_a_range_each(self, n_towers, n_ranges):
+        towers = [TowerSite(i, Point3(10.0 * i, float(i * i), 0.0)) for i in range(n_towers)]
+        with pytest.raises(ValueError, match="need 3 or more towers and as many ranges"):
+            solve_position(towers, [5.0] * n_ranges)
+
     def test_symmetric_in_plane_point(self):
         fix = solve_position(RIGHT_TRIANGLE, [math.sqrt(50)] * 3)
         assert fix.position.x == pytest.approx(5.0, abs=1e-6)
@@ -222,6 +228,11 @@ class TestMultilaterate:
         TowerSite(2, Point3(0, 10, 0)),
         TowerSite(3, Point3(0, 0, 10)),
     ]
+
+    def test_lengths_that_differ_are_a_value_error(self):
+        # Three towers are too few as well, but the mismatch is the caller's bug and is named first.
+        with pytest.raises(ValueError, match="got 3 towers but 2 ranges"):
+            multilaterate_lsq(self.TETRAHEDRON[:3], [5.0, 5.0])
 
     def test_exact_four_tower_solve(self):
         true_point = Point3(3, 4, 5)

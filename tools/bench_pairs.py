@@ -185,17 +185,24 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def main() -> int:
+def _seeds(text: str) -> list[int]:
+    """A comma-separated list of integer seeds, as argparse's type."""
+    try:
+        return [int(seed) for seed in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit of the parent side")
     parser.add_argument("--change", required=True, help="commit of the change side")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
-    parser.add_argument("--seeds", default="1", help="comma-separated workload seeds, used in turn")
+    parser.add_argument("--seeds", type=_seeds, default=[1], help="comma-separated workload seeds, used in turn")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--trace-seed", type=int, default=None,
                         help="also make one traced run per side per workload on this seed")
-    args = parser.parse_args()
-    seeds = [int(seed) for seed in args.seeds.split(",")]
+    args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
@@ -212,7 +219,7 @@ def main() -> int:
         for workload in (w["name"] for w in benchmark["workloads"]):
             runs = {side: [] for side in SIDES}
             for i in range(args.pairs):
-                seed = seeds[i % len(seeds)]
+                seed = args.seeds[i % len(args.seeds)]
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     runs[side].append(run_once(trees[side], workload, seed, benchmark["run_seconds"]))
                     print(f"{workload} pair {i} {side}: correct={runs[side][-1]['correct']}", file=sys.stderr)
@@ -235,7 +242,7 @@ def main() -> int:
 
     report = {
         "commits": commits,
-        "seeds": seeds,
+        "seeds": args.seeds,
         "trace_seed": args.trace_seed,
         "run_seconds": benchmark["run_seconds"],
         "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
