@@ -8,6 +8,7 @@ tower lists instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -63,14 +64,21 @@ def hex_cell_layout(center: Point3, radius: float, n_rings: int = 1) -> list[Tow
     Args:
         center: Cell center (typically the mobile's nominal position).
         radius: Ring spacing in meters; must be positive and finite.
-        n_rings: Number of rings, 1 to MAX_RINGS.
+        n_rings: Number of rings, an integer from 1 to MAX_RINGS.
 
     Returns:
         List of TowerSite, 6 * n_rings * (n_rings + 1) / 2 entries.
+
+    Raises:
+        ValueError: radius or n_rings is out of range, or n_rings is not an
+            integer.
     """
     # Written so that NaN fails too.
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    # A numpy integer is a ring count; a bool or a float, even 2.0, is not.
+    if isinstance(n_rings, bool) or not isinstance(n_rings, numbers.Integral):
+        raise ValueError(f"n_rings must be an integer, got {n_rings!r}")
     if not 1 <= n_rings <= MAX_RINGS:
         raise ValueError(f"n_rings must be in [1, {MAX_RINGS}], got {n_rings}")
     sites: list[TowerSite] = []

@@ -737,7 +737,7 @@ def _choices(strings: Sequence[str], codes: np.ndarray) -> tuple[np.ndarray, np.
     width = max(map(len, strings), default=0)
     text = np.frombuffer("".join(s.ljust(width) for s in strings).encode("ascii"), np.uint8)
     used = np.arange(width) < np.array([len(s) for s in strings], np.int64)[:, None]
-    return text.reshape(len(strings), width)[codes], used[codes]
+    return text.reshape(len(strings), width).take(codes, axis=0), used.take(codes, axis=0)
 
 
 def _csv(header: str, fields: list[tuple[np.ndarray, np.ndarray]]) -> str:

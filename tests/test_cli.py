@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -667,14 +668,19 @@ class TestAnalyzeLog:
 PEAK_PER_CAPTURE_BYTE = 2.2
 
 
-def test_analyze_log_peak_memory_is_a_fraction_of_the_capture_held_whole(tmp_path, capsys):
+def write_clean_capture(path, pairs):
+    """A capture of pairs request/reply pairs, every reply present, about 140 bytes a pair."""
     mobile, towers = "169.254.118.52", [f"169.254.65.{k}" for k in range(4)]
-    path = tmp_path / "capture.log"
     with path.open("w") as capture:
-        for i in range(57_000):
+        for i in range(pairs):
             tower, sent = towers[i % 4], i * 250_000
             capture.write(format_ping_record(PingRecord(2 * i, sent, mobile, tower, REQUEST)) + "\n")
             capture.write(format_ping_record(PingRecord(2 * i + 1, sent + 600 + i % 97, tower, mobile, REPLY)) + "\n")
+
+
+def test_analyze_log_peak_memory_is_a_fraction_of_the_capture_held_whole(tmp_path, capsys):
+    path = tmp_path / "capture.log"
+    write_clean_capture(path, 57_000)
     size = path.stat().st_size
     assert 7.5e6 < size < 8.5e6
     tracemalloc.start()
@@ -685,6 +691,69 @@ def test_analyze_log_peak_memory_is_a_fraction_of_the_capture_held_whole(tmp_pat
         tracemalloc.stop()
     assert capsys.readouterr().out.startswith("count 57000\n")
     assert peak < PEAK_PER_CAPTURE_BYTE * size, f"peak {peak / size:.2f} bytes per capture byte"
+
+
+HAS_MALLOPT = sys.platform == "linux" and hasattr(ctypes.CDLL(None), "mallopt")
+
+# Warm up, then count the minor page faults of repeated analyze-log ops, in a
+# process of their own so that no other test's heap shares the count.
+COUNT_FAULTS = """
+import contextlib, io, resource, sys
+from gsmloc.cli import main
+argv = ["analyze-log", sys.argv[1], "--baseline", "0.0005", "-o", sys.argv[2]]
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(3):
+        assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        assert main(argv) == 0
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(not HAS_MALLOPT, reason="glibc's mallopt sets the heap policy this counts")
+def test_warm_analyze_log_does_not_fault_its_heap_back_in(tmp_path):
+    # With glibc's sliding trim threshold, the heap each 256 KiB piece frees
+    # is trimmed and faulted back in by the next: about 5 faults per 4 KiB
+    # page of the capture in each op. Kept, it takes a handful per op.
+    path = tmp_path / "capture.log"
+    write_clean_capture(path, 18_000)
+    pages = path.stat().st_size / 4096
+    assert 2e6 < path.stat().st_size < 3e6
+    result = subprocess.run(
+        [sys.executable, "-c", COUNT_FAULTS, str(path), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    faults = float(result.stdout)
+    assert faults < pages / 10, f"{faults:.0f} minor faults per op, {faults / pages:.2f} per page of the capture"
+
+
+class _NoMallopt:
+    """A C library without mallopt."""
+
+
+def _no_c_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: _NoMallopt()], ids=["no-library", "no-mallopt"])
+def test_heap_policy_is_a_no_op_without_mallopt(tmp_path, golden_dir, capsys, monkeypatch, cdll):
+    opened = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or cdll(name))
+    assert cli._keep_freed_heap.__wrapped__() is None
+    # analyze-log runs the helper afresh, uncached, and writes the goldens.
+    monkeypatch.setattr(cli, "_keep_freed_heap", cli._keep_freed_heap.__wrapped__)
+    out = tmp_path / "out"
+    log = golden_dir.parent / "odd_lines_capture.log"
+    assert main(["analyze-log", str(log), "--baseline", "0.0007", "-o", str(out)]) == 0
+    assert opened == [None, None]
+    assert capsys.readouterr().out == (golden_dir / "runs" / "analyze_log_odd_lines_capture" / "stdout.txt").read_text()
+    for path in sorted((golden_dir / "odd_lines_capture").iterdir()):
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestFeasibility:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -90,6 +91,14 @@ class TestHexCellLayout:
                 hex_cell_layout(Point3(0, 0, 0), radius, 1)
         with pytest.raises(ValueError):
             hex_cell_layout(Point3(0, 0, 0), 10.0, 0)
+
+    @pytest.mark.parametrize("n_rings", [1.5, 2.0, True])
+    def test_rejects_a_ring_count_that_is_not_an_integer(self, n_rings):
+        with pytest.raises(ValueError, match=f"n_rings must be an integer, got {n_rings!r}"):
+            hex_cell_layout(Point3(0, 0, 0), 10.0, n_rings)
+
+    def test_takes_a_numpy_integer_ring_count(self):
+        assert hex_cell_layout(Point3(0, 0, 0), 10.0, np.int64(2)) == hex_cell_layout(Point3(0, 0, 0), 10.0, 2)
 
     def test_ring_bound(self):
         assert len(hex_cell_layout(Point3(0, 0, 0), 10.0, MAX_RINGS)) == 3 * MAX_RINGS * (MAX_RINGS + 1)

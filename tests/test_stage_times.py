@@ -1,8 +1,9 @@
-"""tools/stage_times.py on analyze-log, simulate and feasibility, on failed runs, bad tool arguments and the README's lines."""
+"""tools/stage_times.py on analyze-log, simulate and feasibility (the table, then the peak RSS line), on failed runs, bad tool arguments and the README's lines."""
 
 import contextlib
 import importlib.util
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -24,9 +25,10 @@ README_LINES = [line for line in README.splitlines() if line.startswith("PYTHONP
 
 
 def _rows(capsys, argv, code=cli.EXIT_OK):
-    """The printed rows' names, once the columns' types and the total's sums are checked."""
+    """The printed rows' names, once the columns' types, the total's sums and the peak RSS line are checked."""
     assert stage_times.main(["--rounds", "2", *argv]) == code
-    lines = capsys.readouterr().out.splitlines()[1:]  # below the header
+    *lines, rss = capsys.readouterr().out.splitlines()[1:]  # below the header
+    assert re.fullmatch(r"peak RSS \d+\.\d MB", rss) and float(rss.split()[2]) > 0
     table = {row[0]: (float(row[1]), int(row[2]), float(row[3]), int(row[4])) for row in map(str.split, lines)}
     *rows, total = table.values()
     assert all(ms >= 0 and faults >= 0 and calls >= 1 for ms, faults, _, calls in rows)

@@ -7,10 +7,11 @@ A stage is a function ``gsmloc.cli`` imports from another gsmloc module, or
 runs the command into a temporary -o directory, stdout swallowed: to warm up,
 --rounds counted times, then under tracemalloc. Per stage, in first-call
 order: median ms and minor page faults, traced peak MB and calls per round;
-then ``cli`` (main less the stages) and ``total``. A failed command prints
-main's ``error:`` line and no table, and the tool exits with main's code; a
-feasibility verdict (exit 1) prints the table. An empty command line is a
-usage error (exit 2).
+then ``cli`` (main less the stages) and ``total``; then the process's peak
+RSS, so that a change to the heap's policy shows its memory next to its
+faults. A failed command prints main's ``error:`` line and no table, and
+the tool exits with main's code; a feasibility verdict (exit 1) prints the
+table. An empty command line is a usage error (exit 2).
 """
 
 import argparse
@@ -105,6 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{'stage':<20}{'ms':>11}{'faults':>8}{'peak MB':>9}{'calls':>7}")
         for name, (ms, faults, peak_mb, calls) in table.items():
             print(f"{name:<20}{ms:11.4f}{faults:8d}{peak_mb:9.2f}{calls:7d}")
+        # ru_maxrss is in KiB on Linux; perfbench's peak_rss_mb reads it the same way.
+        print(f"peak RSS {getrusage(RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     return code
 
 
