@@ -718,8 +718,9 @@ def test_warm_analyze_log_does_not_fault_its_heap_back_in(tmp_path):
     # page of the capture in each op. Kept, it takes a handful per op.
     path = tmp_path / "capture.log"
     write_clean_capture(path, 18_000)
-    pages = path.stat().st_size / 4096
-    assert 2e6 < path.stat().st_size < 3e6
+    size = path.stat().st_size
+    assert 2e6 < size < 3e6
+    pages = size / 4096
     result = subprocess.run(
         [sys.executable, "-c", COUNT_FAULTS, str(path), str(tmp_path / "out")],
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
@@ -732,15 +733,12 @@ def test_warm_analyze_log_does_not_fault_its_heap_back_in(tmp_path):
     assert faults < pages / 10, f"{faults:.0f} minor faults per op, {faults / pages:.2f} per page of the capture"
 
 
-class _NoMallopt:
-    """A C library without mallopt."""
-
-
 def _no_c_library(name):
     raise OSError(f"{name}: cannot open shared object file")
 
 
-@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: _NoMallopt()], ids=["no-library", "no-mallopt"])
+# A C library that cannot be opened, and one without mallopt.
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()], ids=["no-library", "no-mallopt"])
 def test_heap_policy_is_a_no_op_without_mallopt(tmp_path, golden_dir, capsys, monkeypatch, cdll):
     opened = []
     monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or cdll(name))
